@@ -331,8 +331,8 @@ def _measure_sustained_ingest(
                             if "staleness_s" in event:
                                 staleness_s.append(event["staleness_s"])
                 wall_s = time.perf_counter() - started
-                counters = client.metrics()["counters"]
-    rescored = counters.get("standing_rescored_pairs_total", 0)
+                metrics = client.metrics()
+    rescored = int(metrics.get("ftl_standing_rescored_pairs_total", 0))
     assert n_updates >= rounds, (
         f"every flush must reach at least its targeted standing query, "
         f"got {n_updates} updates over {rounds} rounds"
@@ -430,12 +430,12 @@ def run_service_load_benchmark(
                 )
             with ServiceClient(*background.address) as probe:
                 level_rows_metrics = probe.metrics()
-            report[f"{mode}_batches_total"] = level_rows_metrics[
-                "counters"
-            ].get("batches_total", 0)
-            report[f"{mode}_requests_total"] = level_rows_metrics[
-                "counters"
-            ].get("batched_requests_total", 0)
+            report[f"{mode}_batches_total"] = int(
+                level_rows_metrics.get("ftl_batches_total", 0)
+            )
+            report[f"{mode}_requests_total"] = int(
+                level_rows_metrics.get("ftl_batched_requests_total", 0)
+            )
     for concurrency, rows in level_rows.items():
         ratio = (
             rows["micro"]["throughput_rps"] / rows["batch1"]["throughput_rps"]

@@ -125,9 +125,9 @@ def main() -> None:
         for worker in health["workers"]:
             print(f"worker {worker['shard']}: pid={worker['pid']} "
                   f"alive={worker['alive']} pool={worker['pool_size']}")
-        counters = metrics["counters"]
-        print(f"served {counters.get('link_requests_total', 0)} /v1/link "
-              f"requests in {counters.get('batches_total', 0)} batches")
+        print(f"served {metrics.get('ftl_link_requests_total', 0):.0f} "
+              f"/v1/link requests in "
+              f"{metrics.get('ftl_batches_total', 0):.0f} batches")
     print("daemon drained; bye")
 
 

@@ -14,9 +14,10 @@ Installed as ``ftl`` (see ``pyproject.toml``).  Subcommands:
 * ``ftl serve NAME`` / ``ftl serve --store DIR`` — run the
   JSON-over-HTTP linking daemon over a scenario's Q database or a
   persistent mmap-backed store (see ``docs/service.md``):
-  micro-batched ``/link``, streaming ``/ingest`` sessions,
-  ``/healthz``, ``/metrics``; store-backed daemons additionally serve
-  standing queries (``/queries`` + ``/watch``; ``docs/streaming.md``);
+  micro-batched ``/v1/link``, streaming ``/v1/ingest`` sessions,
+  ``/v1/healthz``, ``/v1/metrics``; store-backed daemons additionally
+  serve standing queries (``/v1/queries`` + ``/v1/watch``;
+  ``docs/streaming.md``);
 * ``ftl store build/append/compact/stats/index/expire`` — manage
   persistent columnar trajectory stores (see ``docs/store.md``);
   ``index --incremental`` folds streaming delta blocks into the main

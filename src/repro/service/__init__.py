@@ -13,15 +13,16 @@ A stdlib-only asyncio subsystem that turns the in-process
 * :mod:`repro.service.batcher` — the micro-batching scheduler that
   coalesces concurrent ``/v1/link`` requests into single batches;
 * :mod:`repro.service.shard` — consistent-hash pool partitioning, the
-  worker wire protocol, and the scatter-gather merge (bit-identical to
-  single-process ranking);
-* :mod:`repro.service.supervisor` — the prefork shard supervisor:
-  worker lifecycle (fork, crash detection, respawn), scatter-gather
-  ``/v1/link``, sharded ingest routing and store flushes;
+  worker wire protocol, the in-process shard, and the scatter-gather
+  merge (bit-identical to one-shard ranking);
+* :mod:`repro.service.supervisor` — the shard supervisor, the one
+  serving path: an in-process shard for one worker, forked workers
+  (crash detection, respawn) for more; scatter-gather ``/v1/link``,
+  ingest routing, store flushes and session expiry;
 * :mod:`repro.service.server` — the asyncio HTTP/1.1 daemon
-  (``/v1/link``, ``/v1/ingest``, ``/v1/healthz``, ``/v1/metrics``,
-  plus deprecated bare aliases) with bounded queues, 503 backpressure,
-  per-request deadlines and graceful drain;
+  (``/v1/link``, ``/v1/ingest``, ``/v1/healthz``, ``/v1/metrics``, ...)
+  with bounded queues, 503 backpressure, per-request deadlines and
+  graceful drain;
 * :mod:`repro.service.client` — a thin blocking client (speaks v1) for
   tests, examples and load generation.
 

@@ -43,13 +43,10 @@ _WIRE_FIELDS = ("method", "alpha1", "alpha2", "phi_r", "top_k")
 #: replace/remove operations whose replay converges on the same
 #: state).  ``/ingest`` is absent on purpose — replaying it would
 #: double-observe records.  ``/admin/model`` converges too: swapping to
-#: an artifact the daemon already serves is a no-op.  Both path
-#: families are listed: the client speaks v1 but callers may pass
-#: legacy paths to :meth:`ServiceClient.request` directly.
+#: an artifact the daemon already serves is a no-op.
 _IDEMPOTENT_PATHS = (
     "/v1/link", "/v1/assign", "/v1/queries", "/v1/watch", "/v1/healthz",
     "/v1/metrics", "/v1/admin/model",
-    "/link", "/assign", "/queries", "/watch", "/healthz", "/metrics",
 )
 
 #: Exceptions that mean "the transport failed", as opposed to a parsed
@@ -179,9 +176,20 @@ class ServiceClient:
         """The ``/v1/healthz`` payload (the envelope's ``data``)."""
         return envelope_data(self.request("GET", "/v1/healthz"))
 
-    def metrics(self) -> dict:
-        """The metrics registry as JSON (counters, latency, queue depth)."""
-        return envelope_data(self.request("GET", "/v1/metrics?format=json"))
+    def metrics(self) -> dict[str, float]:
+        """``/v1/metrics`` samples as ``{series: value}``.
+
+        A series is the exposition's sample name plus its label set, as
+        rendered: ``ftl_requests_total``,
+        ``ftl_worker_up{shard="0"}``.  Parsed from
+        :meth:`metrics_text`; comment lines are skipped.
+        """
+        samples: dict[str, float] = {}
+        for line in self.metrics_text().splitlines():
+            if line and not line.startswith("#"):
+                series, _, value = line.rpartition(" ")
+                samples[series] = float(value)
+        return samples
 
     def metrics_text(self) -> str:
         """The raw Prometheus text exposition served at ``/v1/metrics``.

@@ -41,14 +41,6 @@ DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 #: The current wire API version; endpoints live under ``/v1/...``.
 API_VERSION = "v1"
 
-#: Endpoint suffixes served under ``/v1/`` (bare legacy paths are
-#: deprecated aliases; see ``docs/api-v1.md``).  ``/v1/admin/model`` is
-#: deliberately absent: the admin surface is new and has no legacy
-#: alias to deprecate.
-V1_ENDPOINTS = (
-    "link", "assign", "ingest", "queries", "watch", "healthz", "metrics"
-)
-
 #: ``LinkOptions`` fields settable over the wire.  ``prefilter`` is
 #: deliberately absent: it is a live object, not a serialisable value.
 WIRE_OPTION_KEYS = ("method", "alpha1", "alpha2", "phi_r", "top_k")
@@ -537,11 +529,8 @@ class ResponseEnvelope:
          "data": {...},            # the endpoint's payload
          "trace_id": "..."}        # stamped by the dispatcher
 
-    Legacy bare paths return the *identical* body (plus a
-    ``Deprecation`` response header) so migrating is a path change, not
-    a parse change.  Error responses are **not** enveloped: they keep
-    the bare ``{"error": {...}}`` shape of :func:`error_payload` on
-    both path families.
+    Error responses are **not** enveloped: they keep the bare
+    ``{"error": {...}}`` shape of :func:`error_payload`.
     """
 
     data: dict

@@ -2,18 +2,19 @@
 
 One event loop accepts connections and parses requests; ``/v1/link``
 bodies are handed to the :class:`~repro.service.batcher.MicroBatcher`,
-which coalesces them into batches.  With ``workers == 1`` a batch runs
-in-process through
-:meth:`~repro.core.engine.LinkEngine.link_requests`; with
-``workers > 1`` the :class:`~repro.service.supervisor.ShardSupervisor`
-forks one worker process per shard *before* the listener exists and
-each batch is scattered across the shards and merged (bit-identical to
-the single-process ranking; see :mod:`repro.service.shard`).
-``/v1/ingest`` routes streaming record updates into per-session
-:class:`~repro.core.streaming.StreamingLinker` instances (sharded:
-queries broadcast, candidates routed to their owning shard), and
+which coalesces them into batches.  Every batch, assign, ingest,
+flush and session expiry goes through the
+:class:`~repro.service.supervisor.ShardSupervisor`: with
+``workers == 1`` its one shard answers in-process; with
+``workers > 1`` it forks one worker process per shard *before* the
+listener exists and each batch is scattered across the shards and
+merged (bit-identical to the one-shard ranking; see
+:mod:`repro.service.shard`).  ``/v1/ingest`` routes streaming record
+updates into per-session
+:class:`~repro.core.streaming.StreamingLinker` instances (queries
+broadcast, candidates routed to their owning shard), and
 ``/v1/healthz`` + ``/v1/metrics`` expose liveness and the
-counter/latency registry aggregated across workers.  A store-backed
+counter/latency registry aggregated across shards.  A store-backed
 daemon additionally runs the continuous-linkage pipeline of
 :class:`~repro.stream.runtime.StreamRuntime`: ``/v1/queries``
 registers standing queries whose top-k rankings are kept warm across
@@ -21,10 +22,8 @@ ingest flushes and sliding-window evictions, and ``/v1/watch``
 long-polls their result deltas (see ``docs/streaming.md``).
 
 Every v1 JSON endpoint answers with the
-:class:`~repro.service.protocol.ResponseEnvelope` shape; the bare
-legacy paths (``/link``, ...) serve the identical body with a
-``Deprecation: true`` header and a ``Link: </v1/...>;
-rel="successor-version"`` pointer (see ``docs/api-v1.md``).
+:class:`~repro.service.protocol.ResponseEnvelope` shape (see
+``docs/api-v1.md``); paths outside ``/v1/`` answer a structured 404.
 
 The HTTP layer is intentionally minimal: HTTP/1.1 with keep-alive and
 ``Content-Length`` bodies (chunked uploads are rejected), every error
@@ -40,7 +39,6 @@ import contextlib
 import functools
 import json
 import logging
-import os
 import signal
 import threading
 import time
@@ -97,11 +95,12 @@ def _query_param(query: str, name: str) -> str | None:
 class ServerConfig:
     """Daemon knobs (everything the CLI ``ftl serve`` flags map onto).
 
-    ``workers`` is the number of **shard worker processes**: ``1``
-    serves every batch in-process (no fork); ``N > 1`` forks ``N``
-    workers at startup, partitions the candidate pool across them by
-    home-cell consistent hashing, and scatter-gathers each ``/v1/link``
-    batch (see :class:`~repro.service.supervisor.ShardSupervisor`).
+    ``workers`` is the number of **shards**: ``1`` serves every batch
+    through one in-process shard (no fork); ``N > 1`` forks ``N``
+    worker processes at startup, partitions the candidate pool across
+    them by home-cell consistent hashing, and scatter-gathers each
+    ``/v1/link`` batch (see
+    :class:`~repro.service.supervisor.ShardSupervisor`).
     """
 
     host: str = "127.0.0.1"
@@ -202,25 +201,18 @@ class LinkServer:
             model_artifact_id=model_artifact_id,
         )
         self._clock = clock
-        # The engine's caches are plain dicts; one lock keeps them
-        # consistent between the batch thread and coordinator-local
-        # execution paths.
-        self._engine_lock = threading.Lock()
-        # workers > 1 = prefork sharding: the supervisor is built here
-        # (partitions computed) but forks in start(), before the
-        # asyncio listener exists, so children inherit engine + pool
-        # copy-on-write and no server sockets.
-        self._supervisor = (
-            ShardSupervisor(self._state, config.workers, spans=config.spans)
-            if config.workers > 1
-            else None
+        # The supervisor is built here (partitions computed) but forks
+        # its workers in start(), before the asyncio listener exists,
+        # so children inherit engine + pool copy-on-write and no server
+        # sockets.  With one worker it forks nothing.
+        self._supervisor = ShardSupervisor(
+            self._state, config.workers, spans=config.spans
         )
         # A store-backed daemon is a *streaming* daemon: the runtime
         # owns the delta log, the standing-query registry and the
-        # background-merge policy, and the flush/evict hooks in
-        # ServiceState (and the sharded supervisor) drive it.  Sharded,
-        # the changed-pair re-scoring scatters to the workers owning
-        # each candidate; unsharded it runs on the local engine.
+        # background-merge policy, and the supervisor's flush/evict
+        # hooks drive it.  Changed-pair re-scoring goes to the shards
+        # owning each candidate.
         if store is not None:
             self._state.stream = StreamRuntime(
                 store,
@@ -229,23 +221,16 @@ class LinkServer:
                 self._state.options,
                 metrics=self._state.metrics,
                 clock=clock,
-                scorer=(
-                    self._supervisor.score_pairs
-                    if self._supervisor is not None
-                    else None
-                ),
-                engine_lock=self._engine_lock,
+                scorer=self._supervisor.score_pairs,
+                engine_lock=self._state.engine_lock,
                 merge_min_blocks=config.merge_min_blocks,
             )
         # Span and evidence sinks live in per-thread context, so bind
-        # them inside the batch worker as it starts: engine/store spans
-        # accumulate into *this* server's metrics, drift evidence into
-        # *this* server's tallies, and concurrent servers in one
-        # process (the test suite) never see each other's stages.
-        # (Sharded mode binds sinks per worker process instead; batch
-        # execution there is a scatter, not engine work — but
-        # coordinator-local scoring still runs on this thread, covered
-        # by the same binding.)
+        # them inside the batch worker as it starts: coordinator stages
+        # (queue wait, assign scoring and solve) accumulate into *this*
+        # server's metrics, and concurrent servers in one process (the
+        # test suite) never see each other's stages.  Shards bind their
+        # own sinks for the engine work they run.
         self._executor = ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix="ftl-batch",
@@ -261,7 +246,7 @@ class LinkServer:
             thread_name_prefix="ftl-watch",
         )
         self._batcher = MicroBatcher(
-            runner=self._run_batch,
+            runner=self._supervisor.link_requests,
             max_batch_size=config.max_batch_size,
             max_wait_ms=config.max_wait_ms,
             queue_limit=config.queue_limit,
@@ -290,10 +275,9 @@ class LinkServer:
         return host, port
 
     async def start(self) -> None:
-        if self._supervisor is not None:
-            # Fork the shard workers first: they must not inherit the
-            # accept socket (or any connection state) created below.
-            self._supervisor.start()
+        # Fork the shard workers first: they must not inherit the
+        # accept socket (or any connection state) created below.
+        self._supervisor.start()
         await self._batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self._config.host, self._config.port
@@ -320,10 +304,9 @@ class LinkServer:
         if self._state.stream is not None:
             self._state.stream.registry.close()
         self._watch_executor.shutdown(wait=True)
-        if self._supervisor is not None:
-            # After the batcher drain nothing is in flight, so worker
-            # shutdown loses no queued work.
-            self._supervisor.stop()
+        # After the batcher drain nothing is in flight, so worker
+        # shutdown loses no queued work.
+        self._supervisor.stop()
 
     def request_shutdown(self) -> None:
         """Signal-safe trigger for :meth:`serve_until_shutdown`."""
@@ -357,16 +340,9 @@ class LinkServer:
         interval = min(self._config.sweep_interval_s, self._config.session_ttl_s)
         while True:
             await asyncio.sleep(interval)
-            if self._supervisor is not None:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._sweep_sharded
-                )
-            else:
-                await self._off_loop(self._state.expire_idle_sessions)
+            await self._off_loop(self._sweep_shards)
             if self._state.stream is not None:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._merge_deltas
-                )
+                await self._off_loop(self._merge_deltas)
 
     def _merge_deltas(self) -> None:
         """Background fold of the delta log into the main ST-index."""
@@ -375,8 +351,8 @@ class LinkServer:
         except Exception:  # noqa: BLE001 - merge must never kill the sweeper
             _LOG.warning("background index delta merge failed", exc_info=True)
 
-    def _sweep_sharded(self) -> None:
-        """Periodic sharded housekeeping (off the event loop: it pings)."""
+    def _sweep_shards(self) -> None:
+        """Periodic shard housekeeping (off the event loop: it pings)."""
         self._supervisor.ensure_alive()
         self._supervisor.expire_idle()
 
@@ -393,39 +369,6 @@ class LinkServer:
         if self._config.spans:
             obs.bind_sink(obs.MetricsSpanSink(self._state.metrics))
         obs.bind_evidence_sink(self._state.evidence)
-
-    def _run_batch(
-        self, requests: list[LinkRequest]
-    ) -> list[tuple[object, tuple[protocol.ShardInfo, ...]]]:
-        """One batch -> ``(LinkResult, shard provenance)`` per request."""
-        if self._supervisor is not None:
-            return self._supervisor.link_requests(requests)
-        started = self._clock()
-        with self._engine_lock:
-            results = self._state.engine.link_requests(
-                requests, default_pool=self._state.pool
-            )
-        elapsed_ms = round((self._clock() - started) * 1e3, 3)
-        pid = os.getpid()
-        return [
-            (
-                result,
-                (
-                    protocol.ShardInfo(
-                        shard=0,
-                        pid=pid,
-                        n_candidates=len(
-                            request.candidates
-                            if request.candidates is not None
-                            else self._state.pool
-                        ),
-                        n_matched=len(result.candidates),
-                        elapsed_ms=elapsed_ms,
-                    ),
-                ),
-            )
-            for request, result in zip(requests, results)
-        ]
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -444,7 +387,7 @@ class LinkServer:
                 if request is None:
                     break
                 method, path, query, headers, body_bytes = request
-                status, body, trace_id, extra_headers = await self._dispatch(
+                status, body, trace_id = await self._dispatch(
                     method, path, query, body_bytes
                 )
                 close = (
@@ -452,12 +395,7 @@ class LinkServer:
                     or headers.get("connection", "").lower() == "close"
                 )
                 self._write_response(
-                    writer,
-                    status,
-                    body,
-                    close=close,
-                    trace_id=trace_id,
-                    extra_headers=extra_headers,
+                    writer, status, body, close=close, trace_id=trace_id
                 )
                 await writer.drain()
                 if close:
@@ -524,7 +462,6 @@ class LinkServer:
         body: dict | str,
         close: bool,
         trace_id: str | None = None,
-        extra_headers: dict | None = None,
     ) -> None:
         if isinstance(body, str):
             # Pre-rendered text body (the Prometheus exposition).
@@ -537,8 +474,6 @@ class LinkServer:
         extra = "Retry-After: 1\r\n" if status == 503 else ""
         if trace_id is not None:
             extra += f"X-Trace-Id: {trace_id}\r\n"
-        for name, value in (extra_headers or {}).items():
-            extra += f"{name}: {value}\r\n"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -554,24 +489,25 @@ class LinkServer:
     # ------------------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, query: str, body: bytes
-    ) -> tuple[int, dict | str, str, dict]:
+    ) -> tuple[int, dict | str, str]:
         """Route one request under a fresh trace ID.
 
         The ID is bound to the task context for the request's lifetime
         (the batcher captures it at submit time), echoed in dict
         response bodies and the ``X-Trace-Id`` header, and stamped on
-        the structured ``request`` log event.  ``/v1/...`` and bare
-        legacy paths share one canonical route (and one latency
-        histogram); the legacy family additionally answers with
-        deprecation headers.
+        the structured ``request`` log event.  Only ``/v1/...`` paths
+        route; their route (``/v1/link`` -> ``/link``) also names the
+        latency histogram.
         """
         self._state.metrics.inc("requests_total")
         started = self._clock()
         trace_id = obs.new_trace_id()
         token = obs.set_trace_id(trace_id)
-        route, extra_headers = self._canonical_route(path)
+        route = path[len("/v1"):] if path.startswith("/v1/") else ""
         try:
-            status, payload = await self._route(method, route, query, body)
+            status, payload = await self._route(
+                method, route, path, query, body
+            )
             if isinstance(payload, dict):
                 payload.setdefault("trace_id", trace_id)
             obs.log_event(
@@ -582,7 +518,7 @@ class LinkServer:
                 status=status,
                 duration_ms=round((self._clock() - started) * 1e3, 3),
             )
-            return status, payload, trace_id, extra_headers
+            return status, payload, trace_id
         finally:
             obs.reset_trace_id(token)
             label = route.strip("/").replace("/", "_") or "root"
@@ -590,63 +526,42 @@ class LinkServer:
                 f"request_{label}", self._clock() - started
             )
 
-    @staticmethod
-    def _canonical_route(path: str) -> tuple[str, dict]:
-        """``(bare route, response headers)`` for a request path.
-
-        ``/v1/link`` -> ``/link`` with no extra headers; a bare legacy
-        ``/link`` stays itself but gains ``Deprecation`` plus a
-        ``Link`` header naming its v1 successor (RFC 8594-style).
-        Unknown paths pass through untouched and 404 in :meth:`_route`.
-        """
-        if path.startswith("/v1/"):
-            return path[len("/v1"):], {}
-        if path.lstrip("/") in protocol.V1_ENDPOINTS:
-            return path, {
-                "Deprecation": "true",
-                "Link": f'</v1{path}>; rel="successor-version"',
-            }
-        return path, {}
-
     async def _route(
-        self, method: str, path: str, query: str, body: bytes
+        self, method: str, route: str, path: str, query: str, body: bytes
     ) -> tuple[int, dict | str]:
         try:
-            if path == "/healthz":
+            if route == "/healthz":
                 self._require_method(method, "GET")
                 return 200, self._envelope(
                     await self._off_loop(self._handle_health)
                 )
-            if path == "/metrics":
+            if route == "/metrics":
                 self._require_method(method, "GET")
-                payload = await self._off_loop(self._handle_metrics, query)
-                if isinstance(payload, str):
-                    # The Prometheus text exposition stays bare: a JSON
-                    # envelope is not scrapeable.
-                    return 200, payload
-                return 200, self._envelope(payload)
-            if path == "/link":
+                # The Prometheus text exposition stays bare: a JSON
+                # envelope is not scrapeable.
+                return 200, await self._off_loop(self._handle_metrics, query)
+            if route == "/link":
                 self._require_method(method, "POST")
                 return 200, await self._handle_link(body)
-            if path == "/assign":
+            if route == "/assign":
                 self._require_method(method, "POST")
                 return 200, await self._handle_assign(body)
-            if path == "/ingest":
+            if route == "/ingest":
                 self._require_method(method, "POST")
                 return 200, self._envelope(
                     await self._off_loop(self._handle_ingest, body)
                 )
-            if path == "/queries":
+            if route == "/queries":
                 if method == "GET":
                     return 200, self._envelope(self._handle_queries_list())
                 self._require_method(method, "POST")
                 return 200, self._envelope(
                     await self._off_loop(self._handle_queries, body)
                 )
-            if path == "/watch":
+            if route == "/watch":
                 self._require_method(method, "GET")
                 return 200, self._envelope(await self._handle_watch(query))
-            if path == "/admin/model":
+            if route == "/admin/model":
                 if method == "GET":
                     return 200, self._envelope(
                         await self._off_loop(self._handle_model_info)
@@ -678,16 +593,13 @@ class LinkServer:
     # Endpoint payloads
     # ------------------------------------------------------------------
     async def _off_loop(self, fn, *args):
-        """Run a handler off the event loop when it may block.
+        """Run a blocking handler on the default executor.
 
-        Sharded health/metrics/ingest block on shard-socket round
-        trips, and a streaming daemon's ingest flush runs the whole
-        incremental pipeline (delta block write + standing-query
-        re-scoring) under the engine lock; both go to the executor.
-        Otherwise handlers are pure in-memory work and run inline.
+        Health/metrics/ingest make shard round trips (under the engine
+        lock, for the in-process shard), and a streaming daemon's
+        ingest flush runs the whole incremental pipeline (delta block
+        write + standing-query re-scoring); none may park the loop.
         """
-        if self._supervisor is None and self._state.stream is None:
-            return fn(*args)
         return await asyncio.get_running_loop().run_in_executor(
             None, fn, *args
         )
@@ -698,23 +610,13 @@ class LinkServer:
         shards: tuple[protocol.ShardInfo, ...] | None = None,
     ) -> dict:
         return protocol.ResponseEnvelope(
-            data=data,
-            shard_count=(
-                self._supervisor.n_shards if self._supervisor is not None else 1
-            ),
-            shards=shards,
+            data=data, shard_count=self._supervisor.n_shards, shards=shards
         ).to_wire()
-
-    def _session_count(self) -> int:
-        if self._supervisor is not None:
-            return len(self._supervisor.sessions)
-        return len(self._state.sessions)
 
     def _handle_health(self) -> dict:
         data = self._state.health()
-        if self._supervisor is not None:
-            data["sessions"] = self._session_count()
-            data["workers"] = self._supervisor.worker_status()
+        data["sessions"] = len(self._supervisor.sessions)
+        data["workers"] = self._supervisor.worker_status()
         if self._state.stream is not None:
             data["standing_queries"] = len(self._state.stream.registry)
             data["index_delta_blocks"] = self._state.stream.n_delta_blocks()
@@ -811,16 +713,15 @@ class LinkServer:
         swapped ``state.engine`` (the supervisor reads it at fork), so
         the fleet converges on the new model either way.
         """
-        with self._engine_lock:
+        with self._state.engine_lock:
             self._state.adopt_engine(engine, artifact.artifact_id)
             if self._state.stream is not None:
                 self._state.stream.swap_engine(engine)
-            if self._supervisor is not None:
-                self._supervisor.broadcast_model(
-                    artifact.rejection.to_dict(),
-                    artifact.acceptance.to_dict(),
-                    artifact.artifact_id,
-                )
+            self._supervisor.broadcast_model(
+                artifact.rejection.to_dict(),
+                artifact.acceptance.to_dict(),
+                artifact.artifact_id,
+            )
 
     def _drift_gauge(self, evidence: dict) -> list:
         """``ftl_model_drift{model=...}`` series against the live engine."""
@@ -836,38 +737,17 @@ class LinkServer:
             ),
         ]
 
-    def _handle_metrics(self, query: str) -> dict | str:
-        """Prometheus exposition by default; ``?format=json`` for the
-        JSON registry dump."""
+    def _handle_metrics(self, query: str) -> str:
+        """The Prometheus text exposition (the only format served)."""
         fmt = _query_param(query, "format")
-        if fmt == "json":
-            payload = self._state.metrics.to_dict()
-            payload["queue_depth"] = self._batcher.queue_depth
-            payload["sessions"] = self._session_count()
-            if self._state.stream is not None:
-                payload["standing_queries"] = len(self._state.stream.registry)
-                payload["index_delta_blocks"] = (
-                    self._state.stream.n_delta_blocks()
-                )
-            return payload
         if fmt not in (None, "prometheus", "text"):
             raise ValidationError(
-                f"unknown metrics format {fmt!r}; use 'prometheus' or 'json'"
+                f"unknown metrics format {fmt!r}; use 'prometheus'"
             )
-        if self._supervisor is not None:
-            return self._render_sharded_metrics()
-        gauges = {
-            "queue_depth": self._batcher.queue_depth,
-            "sessions": len(self._state.sessions),
-            "pool_size": len(self._state.pool),
-            "model_drift": self._drift_gauge(self._state.evidence.snapshot()),
-        }
-        if self._state.stream is not None:
-            gauges.update(self._state.stream.gauges())
-        return self._state.metrics.to_prometheus(gauges=gauges)
+        return self._render_sharded_metrics()
 
     def _render_sharded_metrics(self) -> str:
-        """One exposition document aggregated across the worker fleet.
+        """One exposition document aggregated across the shards.
 
         Histogram families carry an **unlabelled aggregate** series —
         coordinator + all workers merged on raw bucket counts via
@@ -903,9 +783,9 @@ class LinkServer:
             + shard_series.get(name, [])
             for name, snaps in all_snaps.items()
         }
-        # Fleet-wide drift: the engine runs inside the workers, so the
+        # Fleet-wide drift: the engine runs inside the shards, so the
         # coordinator's own tallies (local-candidate requests) merge
-        # with every worker's shipped evidence snapshot.
+        # with every shard's evidence snapshot.
         evidence = obs.merge_evidence(
             [self._state.evidence.snapshot()]
             + [
@@ -916,7 +796,7 @@ class LinkServer:
         )
         gauges = {
             "queue_depth": self._batcher.queue_depth,
-            "sessions": self._session_count(),
+            "sessions": len(self._supervisor.sessions),
             "pool_size": len(self._state.pool),
             "model_drift": self._drift_gauge(evidence),
             "shard_count": self._supervisor.n_shards,
@@ -976,12 +856,11 @@ class LinkServer:
     ) -> tuple[dict, tuple[protocol.ShardInfo, ...]]:
         """Score the edge set, then solve the global matching.
 
-        Scatter-gather aware: under ``--workers N`` each shard scores
-        its home-cell slice of the pool and ``merge_partials`` restores
-        the exact single-process ranking per query (property-tested in
-        ``tests/test_shard.py``), so the coordinator's solve sees the
-        same edges — and returns the same matching — as an unsharded
-        daemon over the same pool.
+        Under ``--workers N`` each shard scores its home-cell slice of
+        the pool and ``merge_partials`` restores the exact one-shard
+        ranking per query (property-tested in ``tests/test_shard.py``),
+        so the coordinator's solve sees the same edges — and returns
+        the same matching — whatever the shard count.
         """
         from repro.assign import graph_from_link_results, solve
 
@@ -989,30 +868,12 @@ class LinkServer:
             LinkRequest(query=q, options=wire.options) for q in wire.queries
         ]
         pool_ids = [t.traj_id for t in self._state.pool]
-        started = self._clock()
-        if self._supervisor is not None:
-            with obs.span("edge_scoring"):
-                scattered = self._supervisor.link_requests(requests)
-            results = [result for result, _ in scattered]
-            shards = self._aggregate_shards(
-                info for _, infos in scattered for info in infos
-            )
-        else:
-            with self._engine_lock:
-                with obs.span("edge_scoring"):
-                    results = self._state.engine.link_requests(
-                        requests, default_pool=self._state.pool
-                    )
-            elapsed_ms = round((self._clock() - started) * 1e3, 3)
-            shards = (
-                protocol.ShardInfo(
-                    shard=0,
-                    pid=os.getpid(),
-                    n_candidates=len(pool_ids) * len(requests),
-                    n_matched=sum(len(r.candidates) for r in results),
-                    elapsed_ms=elapsed_ms,
-                ),
-            )
+        with obs.span("edge_scoring"):
+            scattered = self._supervisor.link_requests(requests)
+        results = [result for result, _ in scattered]
+        shards = self._aggregate_shards(
+            info for _, infos in scattered for info in infos
+        )
         graph = graph_from_link_results(
             results,
             [q.traj_id for q in wire.queries],
@@ -1054,36 +915,7 @@ class LinkServer:
         wire = protocol.ingest_request_from_wire(
             protocol.parse_json_body(body, self._config.max_body_bytes)
         )
-        if self._supervisor is not None:
-            return self._supervisor.ingest(wire)
-        entry = self._state.ingest(
-            wire.session,
-            wire.query_records,
-            wire.candidate_records,
-            expire_before=wire.expire_before,
-        )
-        response = {
-            "session": entry.session_id,
-            "n_candidates": entry.linker.n_candidates,
-            "n_query_records": entry.linker.n_query_records,
-            "n_records_ingested": entry.n_records,
-        }
-        if wire.flush:
-            response["flushed_records"] = self._state.flush_session(
-                wire.session
-            )
-        if wire.decide:
-            response["decisions"] = [
-                {
-                    "candidate_id": d.candidate_id,
-                    "same_person": d.same_person,
-                    "log_posterior_ratio": d.log_posterior_ratio,
-                    "n_mutual": d.n_mutual,
-                    "n_incompatible": d.n_incompatible,
-                }
-                for d in entry.linker.decisions()
-            ]
-        return response
+        return self._supervisor.ingest(wire)
 
     # ------------------------------------------------------------------
     # Standing queries (/queries + /watch; see docs/streaming.md)

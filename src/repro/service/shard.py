@@ -16,7 +16,8 @@ that are pure enough to test without forking:
   the merge's tie-breaking rests on);
 * a length-prefixed pickle **framing** over ``socketpair`` and the
   blocking worker loop :func:`run_worker` / parent-side
-  :class:`ShardHandle`;
+  :class:`ShardHandle`, plus :class:`LocalShard`, which answers the
+  same ops in-process for a one-shard daemon;
 * :func:`merge_partials` with the correctness argument for why the
   merged top-k equals the single-process ranking bit for bit.
 
@@ -49,6 +50,7 @@ import struct
 import time
 from dataclasses import dataclass, replace
 
+from repro import obs
 from repro.core.engine import Candidate, LinkOptions, LinkRequest, LinkResult
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError, WorkerCrashedError
@@ -227,13 +229,11 @@ def run_worker(
 
     ``state`` is a :class:`~repro.service.state.ServiceState` whose
     ``pool`` is the shard's re-identified slice and whose sessions
-    buffer pending records (``collect_pending``).  The loop answers
-    ``(op, payload)`` frames with ``("ok", result)`` or
+    buffer pending records when the coordinator has a store.  The loop
+    answers ``(op, payload)`` frames with ``("ok", result)`` or
     ``("error", exception)`` and exits on socket EOF — the coordinator
     closing its end (shutdown or crash) is the worker's cue to die.
     """
-    from repro import obs
-
     if spans:
         obs.bind_sink(obs.MetricsSpanSink(state.metrics))
     # Drift evidence accumulates worker-side (the engine runs here);
@@ -285,7 +285,7 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
             payload["candidate_records"],
             expire_before=payload["expire_before"],
         )
-        # The coordinator reassembles the legacy response counts from
+        # The coordinator reassembles the ingest response counts from
         # these: query records are broadcast (any shard knows the
         # retained count), candidates are partitioned (counts sum).
         return {
@@ -409,6 +409,58 @@ class ShardHandle:
             self._sock.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
+
+
+class LocalShard:
+    """The in-process shard of a one-shard supervisor.
+
+    Answers the same ops as :func:`run_worker` by calling
+    :func:`_dispatch_op` on the caller's thread: no fork, no pickle, no
+    socket and no scatter-thread hop.  ``state`` links the
+    coordinator's *live* pool under the real trajectory ids, so pool
+    refreshes reach it and the stream runtime's id-keyed profile-cache
+    invalidations hit the cache it links with; one partial is already
+    the global order, so nothing is re-indexed or merged.
+
+    Each op runs under the coordinator's re-entrant engine lock — the
+    one-op-at-a-time guarantee a worker's socket gives, and the lock
+    every user of the shared engine takes.  A caller already holding it
+    (a flush re-scoring standing queries through the scorer) re-enters
+    it on its own thread.  Like a worker, the shard binds its own span
+    and evidence sinks for the op.
+    """
+
+    broken = False
+
+    def __init__(self, state, coordinator, spans: bool = True) -> None:
+        self.shard_id = 0
+        self.pid = os.getpid()
+        self.state = state
+        self._coordinator = coordinator
+        self._sink = obs.MetricsSpanSink(state.metrics) if spans else None
+
+    def call(self, op: str, payload: object = None) -> object:
+        with (
+            self._coordinator.engine_lock,
+            obs.use_sink(self._sink),
+            obs.use_evidence_sink(self.state.evidence),
+        ):
+            if op == "swap_model":
+                # Adopt the engine the coordinator swapped in, not a
+                # copy rebuilt from the dicts: the stream runtime
+                # invalidates *that* engine's profile cache on flushes.
+                self.state.adopt_engine(
+                    self._coordinator.engine, payload.get("artifact_id")
+                )
+                return {
+                    "shard": self.shard_id,
+                    "pid": self.pid,
+                    "model_artifact": payload.get("artifact_id"),
+                }
+            return _dispatch_op(self.state, self.shard_id, op, payload)
+
+    def close(self) -> None:
+        """Nothing to release: the shard lives in the coordinator."""
 
 
 @dataclass(frozen=True)

@@ -214,20 +214,18 @@ class ServiceState:
     store:
         Optional :class:`~repro.store.TrajectoryStore` the daemon
         serves from.  When set, ingest sessions buffer their candidate
-        records and :meth:`flush_session` appends them to the store's
-        append log (idle-expired sessions are flushed automatically, so
-        ingested evidence survives the daemon).
+        records until the coordinator flushes them into the store's
+        append log (:meth:`ShardSupervisor.flush_session
+        <repro.service.supervisor.ShardSupervisor.flush_session>`;
+        idle-expired sessions are flushed automatically, so ingested
+        evidence survives the daemon).  Shard states carry the
+        coordinator's store for exactly this: they never touch it, but
+        buffer only when there is somewhere to flush to.
     provenance:
         Where the resident pool came from (store dir + manifest
         generation, parsed files, ...); reported by :meth:`health` and
         the startup log so operators can tell which snapshot a daemon
         is serving.
-    collect_pending:
-        Buffer ingest-session candidate records even without a store
-        attached.  Shard workers run with this on: the *coordinator*
-        owns the store, so workers buffer their shards' records and
-        hand them over via :meth:`take_pending` when the coordinator
-        flushes the session.
     """
 
     engine: LinkEngine
@@ -238,7 +236,6 @@ class ServiceState:
     metrics: Metrics = field(default_factory=Metrics)
     store: object | None = None
     provenance: dict | None = None
-    collect_pending: bool = False
     #: Optional :class:`repro.stream.StreamRuntime`; when set, every
     #: store flush runs the incremental pipeline (delta block, pool
     #: refresh, targeted cache invalidation, standing-query re-scoring).
@@ -246,6 +243,14 @@ class ServiceState:
     #: Artifact id of the model pair the engine was built from (``None``
     #: for an ad-hoc in-process fit); reported by health/admin handlers.
     model_artifact_id: str | None = None
+    #: Serialises every use of ``engine`` (its profile cache is a plain
+    #: dict) across the batch thread, ingest/flush handlers and the
+    #: stream runtime.  Re-entrant: a flush holds it while re-scoring
+    #: standing queries through the in-process shard, which takes it
+    #: again on the same thread.
+    engine_lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False
+    )
     started_at: float = field(init=False)
     evidence: BucketEvidence = field(init=False)
     sessions: dict[str, IngestSession] = field(default_factory=dict)
@@ -335,55 +340,19 @@ class ServiceState:
             if now - entry.last_used_at > self.session_ttl_s
         ]
         for sid in expired:
-            if self.store is not None:
-                self.flush_session(sid)
             del self.sessions[sid]
         if expired:
             self.metrics.inc("sessions_expired_total", len(expired))
         return expired
-
-    def flush_session(self, session_id: str) -> int:
-        """Append a session's buffered candidate records to the store.
-
-        Each buffered candidate becomes one record-delta trajectory in
-        a new store segment (merge-on-read with whatever the store
-        already holds under that id; ``compact()`` materialises the
-        union).  Returns the number of records flushed; a no-op (0)
-        when the session has no buffered records.  Raises
-        :class:`~repro.errors.ValidationError` when no store is
-        attached or the session is unknown.
-        """
-        if self.store is None:
-            raise ValidationError("no trajectory store attached to this daemon")
-        entry = self.sessions.get(session_id)
-        if entry is None:
-            raise ValidationError(f"unknown ingest session {session_id!r}")
-        if not entry.pending:
-            return 0
-        deltas = []
-        for cid, records in entry.pending.items():
-            ts, xs, ys = zip(*records)
-            deltas.append(Trajectory(ts, xs, ys, cid, sort=True))
-        # The stream runtime appends *inside* its locks so the delta
-        # block is stamped with exactly the generation this append
-        # commits (concurrent flushes would otherwise race the stamp).
-        if self.stream is not None:
-            flushed, _segment = self.stream.append_flush(deltas)
-        else:
-            flushed = self.store.append(deltas)
-        entry.pending.clear()
-        self.metrics.inc("store_flushes_total")
-        self.metrics.inc("store_flushed_records_total", flushed)
-        return flushed
 
     def take_pending(
         self, session_id: str
     ) -> dict[str, list[tuple[float, float, float]]]:
         """Hand over (and clear) a session's buffered candidate records.
 
-        The shard-worker half of a coordinator-driven flush: the worker
-        buffered records under ``collect_pending`` and the coordinator —
-        the only process holding the store — appends them.  Unknown
+        The shard half of a coordinator-driven flush: the shard
+        buffered the records and the coordinator — the only process
+        that writes the store — appends them.  Unknown
         sessions yield ``{}`` (the worker may have been respawned since
         the records were ingested).
         """
@@ -407,7 +376,7 @@ class ServiceState:
                 linker.add_candidate(cid)
             buffer = (
                 entry.pending.setdefault(str(cid), [])
-                if self.store is not None or self.collect_pending
+                if self.store is not None
                 else None
             )
             for t, x, y in records:
@@ -422,12 +391,6 @@ class ServiceState:
             self.metrics.inc("ingested_records_total", total)
         if expire_before is not None:
             linker.expire_before(expire_before)
-            # With a stream runtime attached, the sliding window is
-            # store-wide: old records age out of the append log, the
-            # index delta log, and every standing query — not just this
-            # session's evidence.
-            if self.stream is not None:
-                self.stream.evict_before(float(expire_before))
         return entry
 
     # ------------------------------------------------------------------

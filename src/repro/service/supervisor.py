@@ -1,12 +1,16 @@
-"""Prefork shard supervisor: worker lifecycle and scatter-gather.
+"""Shard supervisor: the daemon's one serving path.
 
-:class:`ShardSupervisor` owns the multi-process half of the daemon.  It
-``fork``s one worker per shard *after* the engine, pool and store are
-built, so workers inherit everything copy-on-write — for an
-mmap-backed store the pool's record arrays are shared pages, not
-copies.  Each worker runs :func:`repro.service.shard.run_worker` over a
-``socketpair``; the supervisor keeps the parent ends and scatters work
-across them with one thread per shard.
+:class:`ShardSupervisor` serves every link, assign, ingest, flush and
+expiry over its shards.  With one shard it holds a
+:class:`~repro.service.shard.LocalShard` that answers in-process, on
+the caller's thread.  With more it ``fork``s one worker per shard
+*after* the engine, pool and store are built, so workers inherit
+everything copy-on-write — for an mmap-backed store the pool's record
+arrays are shared pages, not copies.  Each worker runs
+:func:`repro.service.shard.run_worker` over a ``socketpair``; the
+supervisor keeps the parent ends and scatters work across them with
+one thread per shard.  That fork-or-in-process choice is the only
+place the shard count matters.
 
 Division of labour:
 
@@ -14,11 +18,12 @@ Division of labour:
   cell) and answer ``link`` with per-shard partial rankings; for
   ingest they run real :class:`~repro.core.streaming.StreamingLinker`
   sessions over the query stream (broadcast) and their owned
-  candidates (routed), buffering raw candidate records.
+  candidates (routed), buffering raw candidate records when the
+  daemon has a store to flush them into.
 * **The coordinator** merges partial rankings
   (:func:`~repro.service.shard.merge_partials` — bit-identical to the
   single-process order), keeps the session registry that reassembles
-  legacy-shaped ingest responses, and is the *only* process that
+  ingest responses, and is the *only* process that
   touches the store: flushes pull buffered records out of workers via
   ``take_pending`` and append them here.
 
@@ -40,14 +45,15 @@ import signal
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.engine import LinkRequest
+from repro.core.engine import LinkRequest, LinkResult
 from repro.errors import FTLError, ValidationError, WorkerCrashedError
 from repro.service.protocol import IngestWireRequest, ShardInfo
 from repro.service.shard import (
     HashRing,
+    LocalShard,
     ShardHandle,
     ShardPlan,
     merge_partials,
@@ -74,7 +80,7 @@ class _SessionEntry:
     ``owners`` maps candidate id -> owning shard in *first-seen order*,
     which is exactly the registration order a single-process
     :class:`StreamingLinker` would report decisions in.  ``n_records``
-    is the monotone ingested-record counter the legacy response
+    is the monotone ingested-record counter the ingest response
     exposes (query + candidate records ever routed).
 
     ``query_history``, ``expire_before`` and ``flushed_segments`` are
@@ -99,7 +105,7 @@ class _SessionEntry:
 
 
 class ShardSupervisor:
-    """Forked shard workers + the scatter-gather coordinator logic.
+    """Shard handles + the scatter-gather coordinator logic.
 
     Parameters
     ----------
@@ -108,10 +114,11 @@ class ShardSupervisor:
         engine, pool, server-default options, store, metrics, TTL and
         clock.  Workers get their own states built from its parts.
     n_shards:
-        Worker process count (>= 1).
+        Shard count (>= 1): ``1`` serves in-process, ``N > 1`` forks
+        ``N`` worker processes.
     spans:
-        Bind a :class:`~repro.obs.MetricsSpanSink` inside each worker
-        so per-stage timers land in the worker's own registry (exposed
+        Bind a :class:`~repro.obs.MetricsSpanSink` inside each shard
+        so per-stage timers land in the shard's own registry (exposed
         shard-labelled by ``/v1/metrics``).
     cell_size_m:
         Home-cell size for shard routing; defaults to the engine
@@ -134,11 +141,15 @@ class ShardSupervisor:
         if cell_size_m is None:
             cell_size_m = state.engine.config.shard_cell_size_m
         self._cell_size_m = float(cell_size_m)
-        # The shard plan is frozen at construction: a pool refresh in
-        # the coordinator does NOT repartition live workers (restart
-        # the daemon to re-shard; documented in docs/service.md).
-        self._plans: list[ShardPlan] = plan_shards(
-            list(state.pool), self.ring, self._cell_size_m
+        # One shard links the coordinator's live pool in-process, so it
+        # has no plan.  Forked workers get a plan frozen at
+        # construction: a pool refresh in the coordinator does NOT
+        # repartition them (restart the daemon to re-shard; documented
+        # in docs/service.md).
+        self._plans: list[ShardPlan] | None = (
+            plan_shards(list(state.pool), self.ring, self._cell_size_m)
+            if self.n_shards > 1
+            else None
         )
         self._pool_ids = [t.traj_id for t in state.pool]
         # A streaming flush can append records to *existing* ids (the
@@ -148,18 +159,23 @@ class ShardSupervisor:
             state.store.generation if state.store is not None else None
         )
         self._plan_stale = False
-        self._handles: list[ShardHandle | None] = [None] * self.n_shards
+        self._handles: list[ShardHandle | LocalShard | None] = (
+            [None] * self.n_shards
+        )
         self._restarts = [0] * self.n_shards
         self._spawn_lock = threading.Lock()
         self._scatter: ThreadPoolExecutor | None = None
         self.sessions: dict[str, _SessionEntry] = {}
+        # Ingest, flush and expiry run on executor threads and
+        # check-then-act on ``sessions`` and its entries; one at a time.
+        self._sessions_lock = threading.RLock()
         self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Fork one worker per shard.
+        """Fork one worker per shard (or open the in-process shard).
 
         Call before the asyncio listener exists: children must not
         inherit the accept socket or any event loop state.
@@ -167,9 +183,10 @@ class ShardSupervisor:
         if self._started:
             raise ValidationError("supervisor already started")
         self._started = True
-        self._scatter = ThreadPoolExecutor(
-            max_workers=self.n_shards, thread_name_prefix="ftl-scatter"
-        )
+        if self._plans is not None:
+            self._scatter = ThreadPoolExecutor(
+                max_workers=self.n_shards, thread_name_prefix="ftl-scatter"
+            )
         for shard_id in range(self.n_shards):
             self._handles[shard_id] = self._spawn(shard_id)
 
@@ -190,7 +207,7 @@ class ShardSupervisor:
             handle.close()
         deadline = time.monotonic() + timeout_s
         for handle in self._handles:
-            if handle is not None:
+            if isinstance(handle, ShardHandle):
                 self._reap(handle.pid, deadline)
         if self._scatter is not None:
             self._scatter.shutdown(wait=True)
@@ -213,7 +230,24 @@ class ShardSupervisor:
                 return
             time.sleep(0.01)
 
-    def _spawn(self, shard_id: int) -> ShardHandle:
+    def _worker_state(self, pool: list[Trajectory]) -> ServiceState:
+        """A shard's own state over ``pool``: the coordinator's engine,
+        options and store.  Its sessions never expire on their own (the
+        coordinator's ledger expires them via ``drop_session``) and
+        buffer candidate records only when the store exists."""
+        return ServiceState(
+            engine=self._state.engine,
+            pool=pool,
+            options=self._state.options,
+            session_ttl_s=float("inf"),
+            store=self._state.store,
+        )
+
+    def _spawn(self, shard_id: int) -> ShardHandle | LocalShard:
+        if self._plans is None:
+            return LocalShard(
+                self._worker_state(self._state.pool), self._state, self._spans
+            )
         plan = self._plans[shard_id]
         parent_sock, child_sock = socket.socketpair()
         pid = os.fork()
@@ -227,14 +261,12 @@ class ShardSupervisor:
                 for other in self._handles:
                     if other is not None:
                         other.close()
-                worker_state = ServiceState(
-                    engine=self._state.engine,
-                    pool=list(plan.local_pool),
-                    options=self._state.options,
-                    session_ttl_s=float("inf"),
-                    collect_pending=True,
+                run_worker(
+                    child_sock,
+                    self._worker_state(list(plan.local_pool)),
+                    shard_id,
+                    self._spans,
                 )
-                run_worker(child_sock, worker_state, shard_id, self._spans)
             finally:
                 os._exit(0)
         child_sock.close()
@@ -323,6 +355,18 @@ class ShardSupervisor:
             self._respawn(shard_id, handle)
             return self._handles[shard_id].call(op, payload)
 
+    def _submit(self, shard_id: int, op: str, payload=None) -> Future:
+        """Start one shard op; the in-process shard answers at once, on
+        the caller's thread (which may already hold the engine lock)."""
+        if self._scatter is not None:
+            return self._scatter.submit(self._call, shard_id, op, payload)
+        future: Future = Future()
+        try:
+            future.set_result(self._call(shard_id, op, payload))
+        except Exception as exc:  # noqa: BLE001 - re-raised by .result()
+            future.set_exception(exc)
+        return future
+
     # ------------------------------------------------------------------
     # /link scatter-gather
     # ------------------------------------------------------------------
@@ -332,7 +376,8 @@ class ShardSupervisor:
         """Serve a batch: ``(LinkResult, shard provenance)`` per request.
 
         Pool-backed requests are scattered to every shard in one
-        batched ``link`` op per shard and merged; requests carrying
+        batched ``link`` op per shard and merged (a single in-process
+        shard's ranking already is the result); requests carrying
         their own candidates execute on the coordinator's engine
         (their candidates were never partitioned), reported as shard
         ``-1``.
@@ -350,7 +395,7 @@ class ShardSupervisor:
                 (request.query, request.options) for _, request in pool_units
             ]
             futures = [
-                self._scatter.submit(self._call, shard_id, "link", payload)
+                self._submit(shard_id, "link", payload)
                 for shard_id in range(self.n_shards)
             ]
             replies = [future.result() for future in futures]
@@ -360,12 +405,19 @@ class ShardSupervisor:
                     if request.options is not None
                     else self._state.options
                 )
-                merged = merge_partials(
-                    [reply["matches"][j] for reply in replies],
-                    self._pool_ids,
-                    request.query.traj_id,
-                    options,
-                )
+                if self._plans is None:
+                    merged = LinkResult(
+                        query_id=request.query.traj_id,
+                        method=options.method,
+                        candidates=tuple(replies[0]["matches"][j]),
+                    )
+                else:
+                    merged = merge_partials(
+                        [reply["matches"][j] for reply in replies],
+                        self._pool_ids,
+                        request.query.traj_id,
+                        options,
+                    )
                 provenance = tuple(
                     ShardInfo(
                         shard=reply["shard"],
@@ -381,11 +433,12 @@ class ShardSupervisor:
 
     def _link_local(self, request: LinkRequest):
         started = time.monotonic()
-        result = self._state.engine.link_requests(
-            [request],
-            default_pool=self._state.pool,
-            options=self._state.options,
-        )[0]
+        with self._state.engine_lock:
+            result = self._state.engine.link_requests(
+                [request],
+                default_pool=self._state.pool,
+                options=self._state.options,
+            )[0]
         info = ShardInfo(
             shard=-1,
             pid=os.getpid(),
@@ -403,7 +456,9 @@ class ShardSupervisor:
 
         The workers' resident pools are frozen fork-time slices, so the
         *current* candidate trajectories ship with the request and each
-        worker first drops its cached profiles for those ids.
+        worker first drops its cached profiles for those ids.  (The
+        in-process shard shares the coordinator's engine, whose cache
+        the stream runtime already invalidated; it drops nothing.)
         Candidates route by id hash (the ring ingest uses); a shard
         that cannot answer even after a respawn falls back to the
         coordinator engine, so an update is never silently lost.  The
@@ -419,15 +474,18 @@ class ShardSupervisor:
             shard_id = self.ring.shard_for(f"id:{trajectory.traj_id}")
             groups.setdefault(shard_id, []).append(trajectory)
         futures = {
-            shard_id: self._scatter.submit(
-                self._call,
+            shard_id: self._submit(
                 shard_id,
                 "score_pairs",
                 {
                     "query": query,
                     "candidates": group,
                     "options": options,
-                    "invalidate": [str(t.traj_id) for t in group],
+                    "invalidate": (
+                        [str(t.traj_id) for t in group]
+                        if self._plans is not None
+                        else []
+                    ),
                 },
             )
             for shard_id, group in groups.items()
@@ -455,7 +513,7 @@ class ShardSupervisor:
     # /ingest routing
     # ------------------------------------------------------------------
     def ingest(self, wire: IngestWireRequest) -> dict:
-        """Route one ingest request and reassemble the legacy response.
+        """Route one ingest request and reassemble its response.
 
         Query records and ``expire_before`` are broadcast to every
         shard (each worker's linker needs the full query stream);
@@ -464,69 +522,71 @@ class ShardSupervisor:
         any shard (they agree), candidate counts summed, the monotone
         ingested-record total from the coordinator registry.
         """
-        now = self._state.clock()
-        self.expire_idle(now)
-        entry = self.sessions.get(wire.session)
-        if entry is None:
-            entry = _SessionEntry(
-                session_id=wire.session, created_at=now, last_used_at=now
+        with self._sessions_lock:
+            now = self._state.clock()
+            self.expire_idle(now)
+            entry = self.sessions.get(wire.session)
+            if entry is None:
+                entry = _SessionEntry(
+                    session_id=wire.session, created_at=now, last_used_at=now
+                )
+                self.sessions[wire.session] = entry
+                self._state.metrics.inc("sessions_created_total")
+            entry.last_used_at = now
+            # The query history only replays into a respawned worker;
+            # the in-process shard is never respawned.
+            if wire.query_records and self._plans is not None:
+                entry.query_history.append(
+                    [list(map(float, r)) for r in wire.query_records]
+                )
+            if wire.expire_before is not None:
+                entry.expire_before = (
+                    wire.expire_before
+                    if entry.expire_before is None
+                    else max(entry.expire_before, wire.expire_before)
+                )
+            self._compact_ledger(entry)
+            for cid in wire.candidate_records:
+                if cid not in entry.owners:
+                    entry.owners[cid] = self.ring.shard_for(f"id:{cid}")
+            per_shard: list[dict] = [{} for _ in range(self.n_shards)]
+            for cid, records in wire.candidate_records.items():
+                per_shard[entry.owners[cid]][cid] = records
+            futures = [
+                self._submit(
+                    shard_id,
+                    "ingest",
+                    {
+                        "session": wire.session,
+                        "query_records": wire.query_records,
+                        "candidate_records": per_shard[shard_id],
+                        "expire_before": wire.expire_before,
+                    },
+                )
+                for shard_id in range(self.n_shards)
+            ]
+            replies = [future.result() for future in futures]
+            total = len(wire.query_records) + sum(
+                len(r) for r in wire.candidate_records.values()
             )
-            self.sessions[wire.session] = entry
-            self._state.metrics.inc("sessions_created_total")
-        entry.last_used_at = now
-        if wire.query_records:
-            entry.query_history.append(
-                [list(map(float, r)) for r in wire.query_records]
-            )
-        if wire.expire_before is not None:
-            entry.expire_before = (
-                wire.expire_before
-                if entry.expire_before is None
-                else max(entry.expire_before, wire.expire_before)
-            )
-        self._compact_ledger(entry)
-        for cid in wire.candidate_records:
-            if cid not in entry.owners:
-                entry.owners[cid] = self.ring.shard_for(f"id:{cid}")
-        per_shard: list[dict] = [{} for _ in range(self.n_shards)]
-        for cid, records in wire.candidate_records.items():
-            per_shard[entry.owners[cid]][cid] = records
-        futures = [
-            self._scatter.submit(
-                self._call,
-                shard_id,
-                "ingest",
-                {
-                    "session": wire.session,
-                    "query_records": wire.query_records,
-                    "candidate_records": per_shard[shard_id],
-                    "expire_before": wire.expire_before,
-                },
-            )
-            for shard_id in range(self.n_shards)
-        ]
-        replies = [future.result() for future in futures]
-        total = len(wire.query_records) + sum(
-            len(r) for r in wire.candidate_records.values()
-        )
-        entry.n_records += total
-        if total:
-            self._state.metrics.inc("ingested_records_total", total)
-        if wire.expire_before is not None and self._state.stream is not None:
-            # Workers already dropped their in-session records; slide
-            # the store window and re-score standing queries to match.
-            self._state.stream.evict_before(float(wire.expire_before))
-        response = {
-            "session": wire.session,
-            "n_candidates": sum(r["n_candidates"] for r in replies),
-            "n_query_records": max(r["n_query_records"] for r in replies),
-            "n_records_ingested": entry.n_records,
-        }
-        if wire.flush:
-            response["flushed_records"] = self.flush_session(wire.session)
-        if wire.decide:
-            response["decisions"] = self._decisions(entry)
-        return response
+            entry.n_records += total
+            if total:
+                self._state.metrics.inc("ingested_records_total", total)
+            if wire.expire_before is not None and self._state.stream is not None:
+                # Workers already dropped their in-session records; slide
+                # the store window and re-score standing queries to match.
+                self._state.stream.evict_before(float(wire.expire_before))
+            response = {
+                "session": wire.session,
+                "n_candidates": sum(r["n_candidates"] for r in replies),
+                "n_query_records": max(r["n_query_records"] for r in replies),
+                "n_records_ingested": entry.n_records,
+            }
+            if wire.flush:
+                response["flushed_records"] = self.flush_session(wire.session)
+            if wire.decide:
+                response["decisions"] = self._decisions(entry)
+            return response
 
     def _compact_ledger(self, entry: _SessionEntry) -> None:
         """Keep the session's rehydration ledger bounded.
@@ -574,9 +634,7 @@ class ShardSupervisor:
         """
         shard_ids = sorted(set(entry.owners.values()))
         futures = {
-            shard_id: self._scatter.submit(
-                self._call, shard_id, "decisions", entry.session_id
-            )
+            shard_id: self._submit(shard_id, "decisions", entry.session_id)
             for shard_id in shard_ids
         }
         by_cid = {}
@@ -590,63 +648,65 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def flush_session(self, session_id: str) -> int:
         """Pull buffered records out of the workers, append to the store."""
-        if self._state.store is None:
-            raise ValidationError("no trajectory store attached to this daemon")
-        entry = self.sessions.get(session_id)
-        if entry is None:
-            raise ValidationError(f"unknown ingest session {session_id!r}")
-        pending: dict[str, list[tuple[float, float, float]]] = {}
-        for shard_id in range(self.n_shards):
-            pending.update(self._call(shard_id, "take_pending", session_id))
-        if not pending:
-            return 0
-        deltas = []
-        for cid, records in pending.items():
-            ts, xs, ys = zip(*records)
-            deltas.append(Trajectory(ts, xs, ys, cid, sort=True))
-        # The stream runtime appends inside its locks (delta-block
-        # stamp must match this append's committed generation) and
-        # reports back the segment it wrote for the rehydration ledger.
-        if self._state.stream is not None:
-            flushed, segment = self._state.stream.append_flush(deltas)
-        else:
-            flushed = self._state.store.append(deltas)
-            segment = (
-                self._state.store.manifest.segments[-1].dirname
-                if flushed
-                else None
-            )
-        if segment is not None and segment not in entry.flushed_segments:
-            entry.flushed_segments.append(segment)
-        # Compaction rewrites the store into one segment; ledger
-        # entries pointing at dead segments are useless for rehydration
-        # and would otherwise accumulate for the session's lifetime.
-        live = {info.dirname for info in self._state.store.manifest.segments}
-        entry.flushed_segments = [
-            d for d in entry.flushed_segments if d in live
-        ]
-        self._state.metrics.inc("store_flushes_total")
-        self._state.metrics.inc("store_flushed_records_total", flushed)
-        return flushed
+        with self._sessions_lock:
+            if self._state.store is None:
+                raise ValidationError("no trajectory store attached to this daemon")
+            entry = self.sessions.get(session_id)
+            if entry is None:
+                raise ValidationError(f"unknown ingest session {session_id!r}")
+            pending: dict[str, list[tuple[float, float, float]]] = {}
+            for shard_id in range(self.n_shards):
+                pending.update(self._call(shard_id, "take_pending", session_id))
+            if not pending:
+                return 0
+            deltas = []
+            for cid, records in pending.items():
+                ts, xs, ys = zip(*records)
+                deltas.append(Trajectory(ts, xs, ys, cid, sort=True))
+            # The stream runtime appends inside its locks (delta-block
+            # stamp must match this append's committed generation) and
+            # reports back the segment it wrote for the rehydration ledger.
+            if self._state.stream is not None:
+                flushed, segment = self._state.stream.append_flush(deltas)
+            else:
+                flushed = self._state.store.append(deltas)
+                segment = (
+                    self._state.store.manifest.segments[-1].dirname
+                    if flushed
+                    else None
+                )
+            if segment is not None and segment not in entry.flushed_segments:
+                entry.flushed_segments.append(segment)
+            # Compaction rewrites the store into one segment; ledger
+            # entries pointing at dead segments are useless for rehydration
+            # and would otherwise accumulate for the session's lifetime.
+            live = {info.dirname for info in self._state.store.manifest.segments}
+            entry.flushed_segments = [
+                d for d in entry.flushed_segments if d in live
+            ]
+            self._state.metrics.inc("store_flushes_total")
+            self._state.metrics.inc("store_flushed_records_total", flushed)
+            return flushed
 
     def expire_idle(self, now: float | None = None) -> list[str]:
         """TTL-expire idle sessions everywhere (flushing first if stored)."""
-        if now is None:
-            now = self._state.clock()
-        expired = [
-            sid
-            for sid, entry in self.sessions.items()
-            if now - entry.last_used_at > self._state.session_ttl_s
-        ]
-        for sid in expired:
-            if self._state.store is not None:
-                self.flush_session(sid)
-            for shard_id in range(self.n_shards):
-                self._call(shard_id, "drop_session", sid)
-            del self.sessions[sid]
-        if expired:
-            self._state.metrics.inc("sessions_expired_total", len(expired))
-        return expired
+        with self._sessions_lock:
+            if now is None:
+                now = self._state.clock()
+            expired = [
+                sid
+                for sid, entry in self.sessions.items()
+                if now - entry.last_used_at > self._state.session_ttl_s
+            ]
+            for sid in expired:
+                if self._state.store is not None:
+                    self.flush_session(sid)
+                for shard_id in range(self.n_shards):
+                    self._call(shard_id, "drop_session", sid)
+                del self.sessions[sid]
+            if expired:
+                self._state.metrics.inc("sessions_expired_total", len(expired))
+            return expired
 
     # ------------------------------------------------------------------
     # Model hot-swap broadcast
@@ -674,7 +734,7 @@ class ShardSupervisor:
             "artifact_id": artifact_id,
         }
         futures = [
-            self._scatter.submit(self._call, shard_id, "swap_model", payload)
+            self._submit(shard_id, "swap_model", payload)
             for shard_id in range(self.n_shards)
         ]
         return [future.result() for future in futures]
@@ -700,8 +760,11 @@ class ShardSupervisor:
         staleness emits one structured warning (and bumps
         ``shard_plan_drift_total``); ``/v1/metrics`` gauges the
         current state as ``ftl_shard_plan_stale``.  Restart the daemon
-        to re-shard, as documented in ``docs/service.md``.
+        to re-shard, as documented in ``docs/service.md``.  The
+        in-process shard links the live pool, so it never drifts.
         """
+        if self._plans is None:
+            return False
         current = [t.traj_id for t in self._state.pool]
         generation = (
             self._state.store.generation

@@ -125,8 +125,7 @@ class StreamRuntime:
 
         The caller must hold the daemon's engine lock with the batcher
         drained (the admin hot-swap path does), so no scoring is in
-        flight; only the runtime and registry locks are taken here —
-        the engine lock is a plain ``Lock`` and must not be re-taken.
+        flight; only the runtime and registry locks are taken here.
         Delta-block build parameters are *not* re-resolved: blocks must
         keep probing identically to the persisted main index regardless
         of which model pair scores the results.

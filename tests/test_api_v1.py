@@ -1,9 +1,9 @@
-"""The versioned v1 wire surface vs. the deprecated bare-path aliases.
+"""The versioned v1 wire surface.
 
 Every ``/v1/...`` JSON endpoint answers with the response envelope
 (``api_version`` / ``shard_count`` / ``data`` / ``trace_id``); the bare
-legacy paths must serve the *identical* body plus deprecation headers.
-See docs/api-v1.md.
+paths once served as deprecated aliases answer a structured 404.  See
+docs/api-v1.md.
 """
 
 import http.client
@@ -101,12 +101,14 @@ class TestEnvelope:
         assert envelope_data(wire) == {"x": 1}
 
     def test_errors_are_not_enveloped(self, server):
-        status, _, body = _exchange(server.address, "GET", "/v1/nope")
-        assert status == 404
-        # Structured error + trace, but no envelope around it.
-        assert set(body) == {"error", "trace_id"}
-        assert "api_version" not in body and "data" not in body
-        assert "/v1/link" in body["error"]["message"]
+        # Outside /v1/ a known endpoint name is just another unknown path.
+        for method, path in (("GET", "/v1/nope"), ("POST", "/link")):
+            status, _, body = _exchange(server.address, method, path)
+            assert status == 404
+            # Structured error + trace, but no envelope around it.
+            assert set(body) == {"error", "trace_id"}
+            assert "api_version" not in body and "data" not in body
+            assert "/v1/link" in body["error"]["message"]
 
     def test_metrics_text_is_bare(self, server):
         status, headers, body = _exchange(server.address, "GET", "/v1/metrics")
@@ -116,55 +118,7 @@ class TestEnvelope:
 
 
 class TestLegacyAliases:
-    @pytest.mark.parametrize("path", ["/healthz", "/metrics?format=json"])
-    def test_get_body_identical_modulo_trace(self, server, path):
-        bare = path.partition("?")[0]
-        _, legacy_headers, legacy = _exchange(server.address, "GET", path)
-        _, v1_headers, v1 = _exchange(server.address, "GET", "/v1" + path)
-        assert legacy_headers["Deprecation"] == "true"
-        assert legacy_headers["Link"] == f'</v1{bare}>; rel="successor-version"'
-        assert "Deprecation" not in v1_headers
-        # Same envelope shape and keys; volatile fields (uptime,
-        # counters, trace) differ between the two calls.
-        assert set(legacy) == set(v1)
-        assert legacy["api_version"] == v1["api_version"]
-        assert legacy["shard_count"] == v1["shard_count"]
-        assert set(legacy["data"]) == set(v1["data"])
-
-    def test_link_body_identical_modulo_trace(self, server, queries):
-        body = {"query": trajectory_to_wire(queries[0])}
-        s_legacy, legacy_headers, legacy = _exchange(
-            server.address, "POST", "/link", body
-        )
-        s_v1, v1_headers, v1 = _exchange(
-            server.address, "POST", "/v1/link", body
-        )
-        assert s_legacy == s_v1 == 200
-        assert legacy_headers["Deprecation"] == "true"
-        assert legacy_headers["Link"] == '</v1/link>; rel="successor-version"'
-        assert "Deprecation" not in v1_headers
-        legacy.pop("trace_id")
-        v1.pop("trace_id")
-        # /link is a pure read: everything but elapsed timing must be
-        # byte-for-byte equal, scores included.
-        for envelope in (legacy, v1):
-            for shard in envelope["shards"]:
-                shard.pop("elapsed_ms")
-        assert legacy == v1
-
-    def test_legacy_metrics_text_also_aliased(self, server):
-        _, headers, body = _exchange(server.address, "GET", "/metrics")
-        assert headers["Deprecation"] == "true"
-        assert isinstance(body, str) and "ftl_requests_total" in body
-
-    def test_legacy_and_v1_share_latency_series(self, server, client):
-        # One canonical route per endpoint family: both spellings feed
-        # the same request_link histogram rather than splitting it.
-        client.healthz()
-        _exchange(server.address, "GET", "/healthz")
-        metrics = client.metrics()
-        assert "request_healthz" in metrics["latency"]
-        assert "request_v1_healthz" not in metrics["latency"]
+    """Bare (pre-v1) paths answer the structured 404."""
 
     def test_trace_header_on_both_families(self, server):
         for path in ("/healthz", "/v1/healthz"):

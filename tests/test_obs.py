@@ -349,7 +349,7 @@ class TestClientRetries:
             _FakeConnection(),
         ])
         client, sleeps = _client(factory)
-        assert client.request("GET", "/healthz") == {"ok": True}
+        assert client.request("GET", "/v1/healthz") == {"ok": True}
         assert factory.n_created == 2
         assert sleeps == [0.05]
 
@@ -360,7 +360,7 @@ class TestClientRetries:
             _FakeConnection(),
         ])
         client, sleeps = _client(factory)
-        assert client.request("GET", "/metrics?format=json") == {"ok": True}
+        assert client.request("GET", "/v1/metrics") == {"ok": True}
         assert sleeps == [0.05, 0.10]
 
     def test_connect_failure_not_retried_for_ingest(self):
@@ -370,7 +370,7 @@ class TestClientRetries:
         ])
         client, sleeps = _client(factory)
         with pytest.raises(ConnectionRefusedError):
-            client.request("POST", "/ingest", {"session": "s"})
+            client.request("POST", "/v1/ingest", {"session": "s"})
         assert factory.n_created == 1
         assert sleeps == []
 
@@ -384,7 +384,7 @@ class TestClientRetries:
         ])
         client, sleeps = _client(factory)
         with pytest.raises(ConnectionResetError):
-            client.request("POST", "/link", {"query": {}})
+            client.request("POST", "/v1/link", {"query": {}})
         assert factory.n_created == 1
         assert sleeps == []
 
@@ -393,9 +393,9 @@ class TestClientRetries:
         fresh = _FakeConnection()
         factory = _FakeFactory([stale, fresh])
         client, sleeps = _client(factory)
-        assert client.request("POST", "/link", {"query": {}}) == {"ok": True}
+        assert client.request("POST", "/v1/link", {"query": {}}) == {"ok": True}
         # Second call reuses the kept-alive socket, which dies mid-send.
-        assert client.request("POST", "/link", {"query": {}}) == {"ok": True}
+        assert client.request("POST", "/v1/link", {"query": {}}) == {"ok": True}
         assert stale.closed
         assert factory.n_created == 2
         assert len(fresh.requests) == 1
@@ -405,9 +405,9 @@ class TestClientRetries:
         stale = _FakeConnection(fail_requests_at=(2,))
         factory = _FakeFactory([stale, _FakeConnection()])
         client, _sleeps = _client(factory)
-        assert client.request("POST", "/ingest", {"session": "s"}) == {"ok": True}
+        assert client.request("POST", "/v1/ingest", {"session": "s"}) == {"ok": True}
         with pytest.raises(ConnectionResetError):
-            client.request("POST", "/ingest", {"session": "s"})
+            client.request("POST", "/v1/ingest", {"session": "s"})
         assert factory.n_created == 1
 
     def test_retry_budget_exhausted_raises(self):
@@ -417,7 +417,7 @@ class TestClientRetries:
         ])
         client, sleeps = _client(factory, max_retries=1)
         with pytest.raises(ConnectionRefusedError):
-            client.request("GET", "/healthz")
+            client.request("GET", "/v1/healthz")
         assert factory.n_created == 2
         assert sleeps == [0.05]
 
@@ -500,18 +500,13 @@ class TestEndToEndObservability:
         assert "ftl_stage_queue_wait_seconds_count 0" not in text
         assert "ftl_queue_depth" in text
 
-    def test_metrics_json_format_preserved(self, obs_server):
-        with ServiceClient(*obs_server.address) as client:
-            metrics = client.metrics()
-        assert metrics["counters"]["requests_total"] >= 1
-        assert "latency" in metrics
-        assert metrics["queue_depth"] == 0
-
     def test_unknown_metrics_format_is_structured_error(self, obs_server):
-        with ServiceClient(*obs_server.address) as client:
-            with pytest.raises(RemoteServiceError) as exc:
-                client.request("GET", "/metrics?format=yaml")
-        assert exc.value.status == 400
+        # ``json`` is unknown too: the text exposition is the only format.
+        for fmt in ("yaml", "json"):
+            with ServiceClient(*obs_server.address) as client:
+                with pytest.raises(RemoteServiceError) as exc:
+                    client.request("GET", f"/v1/metrics?format={fmt}")
+            assert exc.value.status == 400
 
     def test_spans_disabled_leaves_stage_histograms_empty(
         self, fitted_models, small_pair, obs_queries

@@ -25,8 +25,10 @@ from repro.errors import (
 )
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient
+from repro.service.protocol import IngestWireRequest
 from repro.service.server import BackgroundServer, LinkServer, ServerConfig
 from repro.service.state import Metrics, ServiceState
+from repro.service.supervisor import ShardSupervisor
 
 RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
 
@@ -88,13 +90,13 @@ class TestHealthAndMetrics:
     def test_metrics_shape(self, client):
         client.healthz()
         metrics = client.metrics()
-        assert metrics["counters"]["requests_total"] >= 1
-        assert "latency" in metrics
-        assert metrics["queue_depth"] == 0
+        assert metrics["ftl_requests_total"] >= 1
+        assert metrics["ftl_request_healthz_seconds_count"] >= 1
+        assert metrics["ftl_queue_depth"] == 0
 
     def test_wrong_method_is_structured_405(self, client):
         with pytest.raises(RemoteServiceError) as exc:
-            client.request("POST", "/healthz", {"x": 1})
+            client.request("POST", "/v1/healthz", {"x": 1})
         assert exc.value.status == 405
         assert exc.value.payload["error"]["type"] == "MethodNotAllowed"
 
@@ -156,7 +158,9 @@ class TestLinkEndpoint:
         assert "unknown method" in exc.value.payload["error"]["message"]
 
     def test_malformed_json_is_structured_400(self, server):
-        status, body, text = _post_raw(server.address, "/link", b'{"query": ')
+        status, body, text = _post_raw(
+            server.address, "/v1/link", b'{"query": '
+        )
         assert status == 400
         assert body["error"]["type"] == "ProtocolError"
         assert "Traceback" not in text
@@ -269,7 +273,7 @@ class TestBodyLimit:
         config = ServerConfig(port=0, max_body_bytes=256)
         with BackgroundServer(engine, pool, config=config) as background:
             status, body, text = _post_raw(
-                background.address, "/link", b"{" + b" " * 512 + b"}"
+                background.address, "/v1/link", b"{" + b" " * 512 + b"}"
             )
         assert status == 413
         assert body["error"]["type"] == "PayloadTooLargeError"
@@ -458,6 +462,25 @@ def _session_records(base_t: float = 0.0):
     return query, cand
 
 
+def _one_shard(state: ServiceState) -> ShardSupervisor:
+    """A started one-shard supervisor: the daemon's serving path over
+    ``state``, in-process (nothing to fork or stop)."""
+    sup = ShardSupervisor(state, 1)
+    sup.start()
+    return sup
+
+
+def _ingest(session: str, query, candidates) -> IngestWireRequest:
+    return IngestWireRequest(
+        session=session,
+        query_records=query,
+        candidate_records=candidates,
+        expire_before=None,
+        decide=False,
+        flush=False,
+    )
+
+
 class TestIngestSessions:
     def test_ingest_decisions_match_batch_matcher(self, client, fitted_models):
         mr, ma = fitted_models
@@ -492,6 +515,49 @@ class TestIngestSessions:
         assert first["n_query_records"] == 3
         assert second["n_query_records"] == 6
         assert second["n_records_ingested"] == 12
+
+    def test_concurrent_ingest_into_one_session_loses_nothing(
+        self, engine, pool
+    ):
+        """Ingest handlers run on executor threads: concurrent requests
+        into one new session must lose no records and no candidates."""
+        import sys
+
+        n_threads, rounds, sessions = 8, 100, ("s0", "s1", "s2", "s3")
+        sup = _one_shard(ServiceState(
+            engine=engine, pool=pool, options=LinkOptions(),
+            session_ttl_s=3600.0,
+        ))
+
+        def worker(tid: int, session: str, barrier) -> None:
+            barrier.wait()
+            for r in range(rounds):
+                sup.ingest(_ingest(session, [], {
+                    f"c{tid}-{r}": [(float(r), 0.0, 0.0)],
+                }))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for session in sessions:
+                barrier = threading.Barrier(n_threads)
+                threads = [
+                    threading.Thread(
+                        target=worker, args=(tid, session, barrier)
+                    )
+                    for tid in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        for session in sessions:
+            entry = sup.sessions[session]
+            assert entry.n_records == n_threads * rounds
+            assert len(entry.owners) == n_threads * rounds
 
     def test_record_level_expiry_over_http(self, client, fitted_models):
         mr, ma = fitted_models
@@ -709,16 +775,17 @@ class TestStoreBackedService:
             engine=engine, pool=pool, options=LinkOptions(),
             clock=FakeClock(), store=store,
         )
+        sup = _one_shard(state)
         query, cand = _session_records()
-        state.ingest("flushy", query, {"c1": cand[:4]})
-        state.ingest("flushy", [], {"c1": cand[4:], "c2": cand[:2]})
-        flushed = state.flush_session("flushy")
+        sup.ingest(_ingest("flushy", query, {"c1": cand[:4]}))
+        sup.ingest(_ingest("flushy", [], {"c1": cand[4:], "c2": cand[:2]}))
+        flushed = sup.flush_session("flushy")
         assert flushed == len(cand) + 2
         persisted = open_store(tmp_path / "s").load()
         assert sorted(map(str, persisted.ids())) == ["c1", "c2"]
         assert len(persisted["c1"]) == len(cand)
         # a second flush with nothing new buffered is a no-op
-        assert state.flush_session("flushy") == 0
+        assert sup.flush_session("flushy") == 0
         assert state.metrics.counter("store_flushes_total") == 1
         assert state.metrics.counter("store_flushed_records_total") == flushed
 
@@ -729,14 +796,14 @@ class TestStoreBackedService:
         bare = ServiceState(engine=engine, pool=pool, options=LinkOptions(),
                             clock=FakeClock())
         with pytest.raises(ValidationError, match="no trajectory store"):
-            bare.flush_session("any")
+            _one_shard(bare).flush_session("any")
         stored = ServiceState(
             engine=engine, pool=pool, options=LinkOptions(),
             clock=FakeClock(),
             store=TrajectoryStore.create(tmp_path / "s"),
         )
         with pytest.raises(ValidationError, match="unknown ingest session"):
-            stored.flush_session("ghost")
+            _one_shard(stored).flush_session("ghost")
 
     def test_ttl_expiry_auto_flushes_to_store(self, engine, pool, tmp_path):
         from repro.store import TrajectoryStore, open_store
@@ -747,10 +814,11 @@ class TestStoreBackedService:
             session_ttl_s=100.0, clock=clock,
             store=TrajectoryStore.create(tmp_path / "s"),
         )
+        sup = _one_shard(state)
         query, cand = _session_records()
-        state.ingest("drop-me", query, {"c9": cand})
+        sup.ingest(_ingest("drop-me", query, {"c9": cand}))
         clock.advance(101.0)
-        assert state.expire_idle_sessions() == ["drop-me"]
+        assert sup.expire_idle() == ["drop-me"]
         persisted = open_store(tmp_path / "s").load()
         assert list(map(str, persisted.ids())) == ["c9"]
         assert len(persisted["c9"]) == len(cand)
@@ -779,6 +847,21 @@ class TestStoreBackedService:
         query, cand = _session_records()
         state.ingest("plain", query, {"c1": cand})
         assert state.sessions["plain"].pending == {}
+        # Nothing could ever flush them, so no shard buffers them either
+        # — in-process or forked.
+        for workers in (1, 2):
+            sup = ShardSupervisor(
+                ServiceState(engine=engine, pool=pool, options=LinkOptions(),
+                             clock=FakeClock()),
+                workers,
+            )
+            sup.start()
+            try:
+                sup.ingest(_ingest("plain", query, {"c1": cand}))
+                for shard_id in range(workers):
+                    assert sup._call(shard_id, "take_pending", "plain") == {}
+            finally:
+                sup.stop()
 
     def test_ttl_expiry_counters_and_flushed_records_reach_link(
         self, engine, small_pair, tmp_path
@@ -796,8 +879,9 @@ class TestStoreBackedService:
             engine=engine, pool=list(store.load()), options=RANKING,
             session_ttl_s=100.0, clock=clock, store=store,
         )
+        sup = _one_shard(state)
         query, cand = _session_records(base_t=5_000.0)
-        state.ingest("expiring", query, {"flushed-cand": cand})
+        sup.ingest(_ingest("expiring", query, {"flushed-cand": cand}))
         before = {
             name: state.metrics.counter(name)
             for name in ("sessions_expired_total", "store_flushes_total",
@@ -805,7 +889,7 @@ class TestStoreBackedService:
         }
 
         clock.advance(101.0)
-        assert state.expire_idle_sessions() == ["expiring"]
+        assert sup.expire_idle() == ["expiring"]
         counters = state.metrics
         assert counters.counter("sessions_expired_total") == (
             before["sessions_expired_total"] + 1
@@ -948,6 +1032,54 @@ class TestModelHotSwap:
                         == [str(x.candidate_id) for x in local.candidates]
                     assert [x.score for x in wire.candidates] \
                         == [x.score for x in local.candidates]
+
+    def test_in_process_swap_then_flush_matches_fresh_engine(
+        self, model_store, small_pair
+    ):
+        """One-process store-backed daemon: link Q, hot-swap, flush new
+        records onto Q's top candidate, link Q again.  The last reply
+        is bit-identical to a fresh engine built from the swapped-in
+        artifact, linking over the final pool — so the in-process shard
+        serves the live pool on the engine whose profile cache the
+        flush invalidated."""
+        from repro.store import open_store
+
+        store, first, second = model_store
+        query = small_pair.p_db[sorted(small_pair.truth)[0]]
+
+        def fresh_link(pool):
+            # A new engine each time: profiles are cached by id, so a
+            # reused engine would itself answer from a stale profile.
+            engine = LinkEngine(
+                second.rejection, second.acceptance, options=RANKING
+            )
+            return engine.link(query, pool, options=RANKING)
+
+        pool_before = list(store.load())
+        with self._serve(store, first) as background:
+            with ServiceClient(*background.address) as c:
+                top = c.link(query, options=RANKING).candidates[0]
+                assert c.swap_model(second.artifact_id)["swapped"] is True
+                # Caches the top candidate's profile on the new engine.
+                swapped = c.link(query, options=RANKING)
+                assert swapped == fresh_link(pool_before)
+                records = [
+                    [float(t) + 1.0, float(x) + 1.0, float(y)]
+                    for t, x, y in zip(query.ts[:5], query.xs[:5],
+                                       query.ys[:5])
+                ]
+                out = c.ingest(
+                    "touch",
+                    candidate_records={str(top.candidate_id): records},
+                    decide=False,
+                    flush=True,
+                )
+                assert out["flushed_records"] == len(records)
+                after = c.link(query, options=RANKING)
+        expected = fresh_link(list(open_store(store.path).load()))
+        # The flush changed the answer, so a stale profile would show.
+        assert expected != swapped
+        assert after == expected
 
     def test_swap_to_store_active_artifact(self, model_store):
         """POST {} re-reads the manifest: an ``ftl model activate`` run

@@ -9,6 +9,7 @@ end to end, including a SIGKILLed worker.
 
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -378,7 +379,64 @@ class TestShardedServer:
         assert after[1]["pid"] != victim
         assert sum(w["restarts"] for w in after) >= 1
         metrics = sharded_client.metrics()
-        assert metrics["counters"]["worker_restarts_total"] >= 1
+        assert metrics["ftl_worker_restarts_total"] >= 1
+
+
+class _OwnerLock:
+    """A re-entrant lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self._owner = None
+        self._depth = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self._owner = threading.get_ident()
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._depth -= 1
+        if self._depth == 0:
+            self._owner = None
+        self._lock.release()
+
+    def held_here(self) -> bool:
+        return self._owner == threading.get_ident()
+
+
+class TestCoordinatorEngineLock:
+    """Coordinator-local scoring shares the daemon's engine (and its
+    profile cache) with standing-query registration and the stream
+    runtime, so it must run under the daemon's engine lock."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_local_scoring_holds_engine_lock(
+        self, engine, pool, queries, workers, monkeypatch
+    ):
+        config = ServerConfig(port=0, workers=workers, max_wait_ms=1.0)
+        with BackgroundServer(engine, pool, config=config) as background:
+            # Instrument after start: forked workers keep the plain
+            # engine, only the coordinator's is checked.
+            lock = _OwnerLock()
+            monkeypatch.setattr(
+                background.server.state, "engine_lock", lock, raising=False
+            )
+            held: list[bool] = []
+            link_requests = engine.link_requests
+
+            def checked(*args, **kwargs):
+                held.append(lock.held_here())
+                return link_requests(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "link_requests", checked)
+            with ServiceClient(*background.address) as c:
+                own = c.link(queries[0], candidates=pool[:20])
+                served = c.link(queries[0])
+        assert held and all(held), held
+        assert own == engine.link_batch(queries[:1], pool[:20])[0]
+        assert served == engine.link_batch(queries[:1], pool)[0]
 
 
 # ----------------------------------------------------------------------
@@ -555,8 +613,8 @@ class TestShardedStreaming:
             assert after == before
 
             metrics = c.metrics()
-            assert metrics["counters"]["worker_rehydrated_sessions_total"] >= 1
-            assert metrics["counters"]["worker_restarts_total"] >= 1
+            assert metrics["ftl_worker_rehydrated_sessions_total"] >= 1
+            assert metrics["ftl_worker_restarts_total"] >= 1
 
             # Replayed records were already persisted: re-flushing the
             # session must append nothing (no double-observation).
