@@ -9,9 +9,9 @@ the odds grow, and the normal approximation trades a small bias for
 O(1) tail evaluation.
 
 A second bench times the DP under each *kernel* backend —
-``pb_pmf_batch`` routed through the pure-python loop, the vectorised
-NumPy state-matrix convolution, and numba when available — over an
-engine-shaped batch of profiles, asserting bit-identical pmf values
+``pb_pmf_batch`` routed through the pure-python loop and the
+vectorised NumPy state-matrix convolution — over an engine-shaped
+batch of profiles, asserting bit-identical pmf values
 before timing.  Results merge into ``BENCH_engine.json`` under
 ``"pb_backends"``.
 """
@@ -24,7 +24,6 @@ import pytest
 
 from benchmarks.bench_engine_batch import DEFAULT_OUT, _merge_into
 from benchmarks.conftest import print_header
-from repro.kernels import numba_available
 from repro.stats.poisson_binomial import PoissonBinomial, pb_pmf_batch
 
 SIZES = (20, 100, 400)
@@ -88,7 +87,7 @@ def run_pb_kernel_benchmark(
     lengths = np.clip(rng.geometric(0.08, size=n_profiles), 1, 400)
     probs = [_profile_probs(int(n), rng) for n in lengths]
 
-    kernels = ["python", "numpy"] + (["numba"] if numba_available() else [])
+    kernels = ["python", "numpy"]
     reference = pb_pmf_batch(probs, kernel="python")
     results: dict = {}
     for kernel in kernels:
@@ -114,7 +113,6 @@ def run_pb_kernel_benchmark(
         "max_length": int(np.max(lengths)),
         "seed": seed,
         "repeats": repeats,
-        "numba_available": numba_available(),
         "kernels": results,
     }
     if out_path is not None:

@@ -18,10 +18,10 @@ Two workloads are timed:
   re-scored by the seed.
 
 A second bench, :func:`run_profile_kernel_benchmark`, isolates the
-mutual-segment profile stage and times each kernel backend (pure-python
-per-pair reference, the batched NumPy kernel, and numba when the
-container has it) over the same pool, asserting token-identical profile
-output and identical ``link_batch`` rankings before reporting.
+mutual-segment profile stage and times both kernel backends (the
+pure-python per-pair reference and the batched NumPy kernel) over the
+same pool, asserting token-identical profile output and identical
+``link_batch`` rankings before reporting.
 
 Timings are written to ``BENCH_engine.json`` (each bench merges its own
 section, so running one never clobbers the other).  Run standalone
@@ -50,7 +50,6 @@ from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.models import CompatibilityModel
 from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.geo.units import days_to_seconds
-from repro.kernels import numba_available
 from repro.synth.city import CityModel
 from repro.synth.noise import GaussianNoise
 from repro.synth.observation import ObservationService
@@ -218,7 +217,7 @@ def run_profile_kernel_benchmark(
     queries = [pair.p_db[qid] for qid in qids]
     pool = list(pair.q_db)
 
-    backends = ["python", "numpy"] + (["numba"] if numba_available() else [])
+    backends = ["python", "numpy"]
 
     # Correctness gate 1: token-identical profiles versus the reference.
     reference = {
@@ -291,7 +290,6 @@ def run_profile_kernel_benchmark(
         "n_queries": len(queries),
         "seed": seed,
         "repeats": repeats,
-        "numba_available": numba_available(),
         "rankings_identical": True,
         "backends": results,
     }

@@ -11,14 +11,17 @@ matching.
 import numpy as np
 
 from benchmarks.conftest import cached_scenario, print_header, scale_name
-from repro.core.assignment import (
-    assign_queries,
-    greedy_assignment,
-    optimal_assignment,
-    score_all_pairs,
-)
+from repro.assign import PERMISSIVE_LINK_OPTIONS, build_cost_graph, solve
+from repro.core.engine import LinkEngine
 from repro.core.ranking import rank_candidates
 from repro.pipeline.experiment import fit_model_pair
+
+
+def _dense_graph(pair, mr, ma, qids):
+    """Every (query, candidate) Eq. 2 score above 1e-6, in one engine pass."""
+    engine = LinkEngine(mr, ma, options=PERMISSIVE_LINK_OPTIONS)
+    queries = [pair.p_db[qid] for qid in qids]
+    return build_cost_graph(engine, queries, list(pair.q_db), min_score=1e-6)
 
 
 def test_assignment_vs_top1(benchmark, config):
@@ -27,12 +30,8 @@ def test_assignment_vs_top1(benchmark, config):
     mr, ma = fit_model_pair(pair, config, rng)
     qids = pair.sample_queries(min(30, len(pair.truth)), rng)
 
-    scores = benchmark.pedantic(
-        score_all_pairs,
-        args=(pair.p_db, pair.q_db, mr, ma),
-        kwargs={"query_ids": qids},
-        rounds=1,
-        iterations=1,
+    graph = benchmark.pedantic(
+        _dense_graph, args=(pair, mr, ma, qids), rounds=1, iterations=1
     )
 
     top1_hits = sum(
@@ -41,8 +40,8 @@ def test_assignment_vs_top1(benchmark, config):
         if rank_candidates(pair.p_db[qid], pair.q_db, mr, ma)[0].candidate_id
         == pair.truth[qid]
     )
-    greedy = greedy_assignment(scores, min_score=1e-6)
-    optimal = optimal_assignment(scores, min_score=1e-6)
+    greedy = solve(graph, backend="greedy")
+    optimal = solve(graph, backend="reference")
 
     def hits(assignment):
         return sum(
@@ -67,13 +66,11 @@ def test_assign_queries_api(benchmark, config):
     mr, ma = fit_model_pair(pair, config, rng)
     qids = pair.sample_queries(min(20, len(pair.truth)), rng)
     assignment = benchmark.pedantic(
-        assign_queries,
-        args=(pair.p_db, pair.q_db, mr, ma),
-        kwargs={"query_ids": qids, "method": "optimal"},
+        lambda: solve(_dense_graph(pair, mr, ma, qids), backend="reference"),
         rounds=1,
         iterations=1,
     )
-    print_header("assign_queries() accuracy")
+    print_header("build_cost_graph() + solve() accuracy")
     print(f"accuracy over assigned queries: "
           f"{assignment.accuracy(pair.truth):.2f} "
           f"({len(assignment)}/{len(qids)} assigned)")

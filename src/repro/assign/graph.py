@@ -34,11 +34,11 @@ from repro.obs import span
 #: Score-all edge semantics: alpha1=0 admits every pair to phase 2 and
 #: alpha2=1 only drops p2 == 1 pairs, whose Eq. 2 score is exactly 0 —
 #: below any ``min_score >= 0`` threshold anyway.  With these options
-#: the graph's edges equal :func:`repro.core.assignment.score_all_pairs`
-#: (the dense path's raw material); the subsystem's entry points default
-#: to them so the solver sees every positive-score edge and decides
-#: globally.  Pass an explicit ``options`` to restrict edges to
-#: decision-passing pairs instead.
+#: the graph's edges are the Eq. 2 scores of
+#: :func:`repro.core.ranking.rank_candidates` over every pair; the
+#: subsystem's entry points default to them so the solver sees every
+#: positive-score edge and decides globally.  Pass an explicit
+#: ``options`` to restrict edges to decision-passing pairs instead.
 PERMISSIVE_LINK_OPTIONS = LinkOptions(
     method="alpha-filter", alpha1=0.0, alpha2=1.0
 )
@@ -156,8 +156,7 @@ def build_cost_graph(
         Per-pair scoring options; ``top_k`` is forced to ``None``
         (a truncated ranking would silently drop edges).
     min_score:
-        Strictly-greater threshold for keeping an edge; the same
-        contract as :mod:`repro.core.assignment`.
+        Strictly-greater threshold for keeping an edge.
     """
     if min_score < 0:
         raise ValidationError(f"min_score must be >= 0, got {min_score}")

@@ -14,9 +14,9 @@ independently and exactly:
 * ``greedy`` — the 1/2-approximation, taking edges in
   ``(-score, query_index, candidate_index)`` order; the fallback when
   scipy is absent (``FTL_NO_SCIPY=1`` forces it, for testing).
-* ``reference`` — the original dense networkx solver
-  (:func:`repro.core.assignment.optimal_assignment`) run per
-  component: exact, kept behind the new API for parity testing.
+* ``reference`` — dense maximum-weight matching by
+  :func:`networkx.max_weight_matching` per component: exact and slow,
+  kept as the parity oracle of the other two.
 
 Determinism: edges enter every backend in one canonical order —
 ``(-score, query_index, candidate_index)`` for the ordered consumers,
@@ -205,18 +205,24 @@ def _solve_greedy(comp: _Component) -> list[tuple[int, int, float]]:
 
 
 def _solve_reference(comp: _Component) -> list[tuple[int, int, float]]:
-    # The pre-subsystem dense solver, fed edges in the same canonical
-    # (-score, query_index, candidate_index) order as the greedy path.
-    from repro.core.assignment import optimal_assignment
+    # Exact maximum-weight matching by networkx over the dense component
+    # graph.  Edges enter in the canonical (-score, query_index,
+    # candidate_index) order and networkx iterates in insertion order,
+    # so a given component always yields the same matching.
+    import networkx as nx
 
-    ordered = sorted(comp.edges, key=lambda e: (-e[2], e[0], e[1]))
-    result = optimal_assignment(ordered, min_score=0.0)
-    matched = [
+    dense = nx.Graph()
+    for qi, ci, score in sorted(comp.edges, key=lambda e: (-e[2], e[0], e[1])):
+        dense.add_edge(("Q", qi), ("C", ci), weight=score)
+    matched: dict[int, int] = {}
+    for a, b in nx.max_weight_matching(dense, maxcardinality=False):
+        query_key, cand_key = (a, b) if a[0] == "Q" else (b, a)
+        matched[query_key[1]] = cand_key[1]
+    return [
         (qi, ci, score)
         for qi, ci, score in comp.edges
-        if result.pairs.get(qi) == ci
+        if matched.get(qi) == ci
     ]
-    return matched
 
 
 _COMPONENT_SOLVERS = {

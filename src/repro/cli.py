@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.config import FTLConfig
 from repro.core.linker import FTLLinker, LinkOptions
-from repro.kernels import KERNEL_BACKENDS
 from repro.datasets.catalog import build_scenario, catalog, catalog_entry
 from repro.io.csv_io import write_trajectories_csv
 from repro.pipeline.tables import render_table1
@@ -84,9 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     link.add_argument("--json", default=None, metavar="PATH",
                       help="write per-query LinkResult records as JSON "
                            "('-' for stdout)")
-    link.add_argument("--kernel", default=None, choices=KERNEL_BACKENDS,
-                      help="hot-path kernel backend "
-                           "(default: auto / FTL_KERNEL_BACKEND)")
     link.add_argument("--seed", type=int, default=0)
 
     profile = sub.add_parser(
@@ -97,9 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", default="naive-bayes", choices=("naive-bayes", "alpha-filter")
     )
     profile.add_argument("--queries", type=int, default=30)
-    profile.add_argument("--kernel", default=None, choices=KERNEL_BACKENDS,
-                         help="hot-path kernel backend "
-                              "(default: auto / FTL_KERNEL_BACKEND)")
     profile.add_argument("--seed", type=int, default=0)
 
     theory = sub.add_parser("theory", help="Section VI mutual-segment pmf")
@@ -202,9 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-spans", action="store_true",
                        help="disable per-stage timers in batch workers "
                             "(/metrics stage histograms stay empty)")
-    serve.add_argument("--kernel", default=None, choices=KERNEL_BACKENDS,
-                       help="hot-path kernel backend "
-                            "(default: auto / FTL_KERNEL_BACKEND)")
     serve.add_argument("--seed", type=int, default=0)
 
     store = sub.add_parser(
@@ -360,7 +350,6 @@ def _cmd_link(args: argparse.Namespace) -> int:
         alpha2=args.alpha2,
         phi_r=args.phi_r,
         top_k=args.top_k,
-        kernel_backend=args.kernel,
     )
     linker = FTLLinker(FTLConfig(), options).fit(pair.p_db, pair.q_db, rng)
     n = min(args.queries, len(pair.matched_query_ids()))
@@ -394,7 +383,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     pair = build_scenario(args.name)
-    options = LinkOptions(method=args.method, kernel_backend=args.kernel)
+    options = LinkOptions(method=args.method)
     linker = FTLLinker(FTLConfig(), options).fit(pair.p_db, pair.q_db, rng)
     n = min(args.queries, len(pair.matched_query_ids()))
     query_ids = pair.sample_queries(n, rng)
@@ -568,7 +557,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         alpha2=args.alpha2,
         phi_r=args.phi_r,
         top_k=args.top_k,
-        kernel_backend=args.kernel,
     )
     engine = LinkEngine(mr, ma, options=options)
     server_config = ServerConfig(

@@ -66,11 +66,9 @@ class FTLConfig:
         Probabilities are clamped to ``[prob_floor, 1 - prob_floor]``
         before being used in likelihoods, guarding against log(0).
     kernel_backend:
-        Hot-path kernel implementation: ``"auto"`` (numba when
-        importable, else the batched NumPy kernels), ``"numba"``,
-        ``"numpy"``, or ``"python"`` (the per-pair reference path).
-        ``"auto"`` also honours the ``FTL_KERNEL_BACKEND`` environment
-        variable; see :mod:`repro.kernels`.
+        Hot-path kernel implementation: ``"auto"`` (the batched NumPy
+        kernels), ``"numpy"``, or ``"python"`` (the per-pair reference
+        path); see :mod:`repro.kernels`.
     shard_cell_size_m:
         Geo-grid cell side (metres) used by the multi-worker daemon to
         assign each candidate a *home cell* for consistent-hash shard

@@ -7,12 +7,6 @@ from repro.core.alignment import (
     align,
     mutual_segment_profile,
 )
-from repro.core.assignment import (
-    Assignment,
-    assign_queries,
-    greedy_assignment,
-    optimal_assignment,
-)
 from repro.core.compatibility import (
     is_compatible,
     compatibility_many,
@@ -54,7 +48,6 @@ from repro.core.trajectory import Trajectory
 __all__ = [
     "AlignedTrajectory",
     "AlphaFilter",
-    "Assignment",
     "CacheStats",
     "Candidate",
     "CompatibilityModel",
@@ -76,18 +69,15 @@ __all__ = [
     "TrajectoryDatabase",
     "acceptance_pvalue",
     "align",
-    "assign_queries",
     "bucket_divergence",
     "compatibility_many",
     "discriminability",
     "format_model_table",
-    "greedy_assignment",
     "hits_within_topk",
     "implied_speed",
     "is_compatible",
     "model_table",
     "mutual_segment_profile",
-    "optimal_assignment",
     "perceptiveness",
     "precision_at_k",
     "rank_candidates",

@@ -225,8 +225,7 @@ def mutual_segment_profile(
     without materialising any Python objects.  The kernel ``backend``
     defaults to the config's (resolved through
     :func:`repro.kernels.resolve_kernel_backend`); every backend yields
-    the same profile (see ``docs/performance.md`` for the numba
-    haversine ulp caveat).
+    the same profile bit for bit.
     """
     resolved = resolve_kernel_backend(
         backend if backend is not None else config.kernel_backend
@@ -316,7 +315,7 @@ def batch_mutual_segment_profiles(
     """Profiles of one query against a whole candidate pool.
 
     Equal to ``[mutual_segment_profile(p, c, config) for c in
-    candidates]`` but the ``numpy``/``numba`` backends extract every
+    candidates]`` but the ``numpy`` backend extracts every
     pair's evidence in a single kernel invocation over the pool's flat
     coordinate arrays — the hot path behind
     :meth:`repro.core.engine.ProfileCache.get_many`.  Pass a prebuilt

@@ -51,7 +51,6 @@ from repro.core.alignment import (
     FlatPool,
     MutualSegmentProfile,
     batch_mutual_segment_profiles,
-    mutual_segment_profile,
 )
 from repro.core.hypothesis import (
     acceptance_pvalue_batch,
@@ -99,7 +98,7 @@ class LinkOptions:
         applied before the statistical tests.
     kernel_backend:
         Hot-path kernel implementation override (``"auto"``,
-        ``"numba"``, ``"numpy"`` or ``"python"``; see
+        ``"numpy"`` or ``"python"``; see
         :mod:`repro.kernels`).  ``None`` defers to the models'
         :attr:`~repro.config.FTLConfig.kernel_backend`.
     """
@@ -164,8 +163,10 @@ class LinkRequest:
     query:
         The trajectory to link.
     candidates:
-        The candidate pool for this request; ``None`` uses the
-        ``default_pool`` passed to :meth:`LinkEngine.link_requests`.
+        The candidate pool for this request, cached by content (ids
+        may be reused with other records); ``None`` uses the
+        ``default_pool`` passed to :meth:`LinkEngine.link_requests`,
+        cached by id.
     options:
         Per-request options; ``None`` uses the engine defaults (or the
         call-level override).
@@ -270,11 +271,16 @@ class CacheStats:
 class ProfileCache:
     """LRU cache of mutual-segment profiles keyed on pair identity.
 
-    Keys are ``(query_id, candidate_id, config)``; the
-    :class:`~repro.config.FTLConfig` is a frozen dataclass and therefore
-    hashable, so one cache can serve engines running under different
-    configurations.  Trajectory ids are assumed stable: callers that
-    mutate a trajectory while reusing its id must :meth:`clear` first.
+    Keys are ``(query_key, candidate_key, config)``.  The query side is
+    always keyed on :meth:`~repro.core.trajectory.Trajectory.content_digest`,
+    so a query that reuses an id with other records never hits a stale
+    profile.  The candidate side is keyed on the trajectory id for a
+    resident pool — whose owner must :meth:`invalidate` (or
+    :meth:`clear`) ids whose records change — or on the content digest
+    when ``by_content`` is set, for candidates shipped with a request.
+    The :class:`~repro.config.FTLConfig` is a frozen dataclass and
+    therefore hashable, so one cache can serve engines running under
+    different configurations.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PROFILE_CACHE_SIZE) -> None:
@@ -294,19 +300,7 @@ class ProfileCache:
         backend: str | None = None,
     ) -> MutualSegmentProfile:
         """The pair's profile, aligning the pair only on a cache miss."""
-        key = (query.traj_id, candidate.traj_id, config)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-        self._misses += 1
-        profile = mutual_segment_profile(query, candidate, config, backend)
-        self._entries[key] = profile
-        if len(self._entries) > self._maxsize:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-        return profile
+        return self.get_many(query, [candidate], config, backend)[0]
 
     def get_many(
         self,
@@ -315,23 +309,30 @@ class ProfileCache:
         config: FTLConfig,
         backend: str | None = None,
         flat: FlatPool | None = None,
+        by_content: bool = False,
     ) -> list[MutualSegmentProfile]:
         """Profiles of one query against many candidates, batching misses.
 
-        Counter semantics match a loop of :meth:`get` calls exactly
-        (a repeated pair id within one pool is one miss plus hits), but
-        all missing pairs are aligned in a single
+        Counter semantics match a loop of single-pair lookups exactly
+        (a repeated candidate key within one pool is one miss plus
+        hits), but all missing pairs are aligned in a single
         :func:`~repro.core.alignment.batch_mutual_segment_profiles`
         kernel invocation instead of per-pair calls.  A prebuilt
         ``flat`` :class:`~repro.core.alignment.FlatPool` of the full
         candidate list is used when every pair misses (the cold-cache
         batch case); partial misses re-flatten just the missing subset.
+        ``by_content`` keys candidates on their content digest instead
+        of their id (see the class docstring).
         """
         results: list[MutualSegmentProfile | None] = [None] * len(candidates)
         pending: OrderedDict[tuple, list[int]] = OrderedDict()
         pending_cands: list[Trajectory] = []
+        query_key = query.content_digest()
         for pos, candidate in enumerate(candidates):
-            key = (query.traj_id, candidate.traj_id, config)
+            cand_key = (
+                candidate.content_digest() if by_content else candidate.traj_id
+            )
+            key = (query_key, cand_key, config)
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -366,20 +367,18 @@ class ProfileCache:
         self._entries.clear()
 
     def invalidate(self, traj_ids) -> int:
-        """Drop every entry involving any of the given trajectory ids.
+        """Drop every entry whose candidate is any of the given ids.
 
         The targeted form of the :meth:`clear` contract for streaming:
         when an ingest flush or sliding-window eviction changes records
-        under reused ids, only pairs touching those ids are stale.
-        Matches on either side of the pair key; returns entries dropped.
+        under reused ids, only pairs keyed on those candidate ids are
+        stale (query and ``by_content`` keys are content digests, which
+        cannot go stale).  Returns the number of entries dropped.
         """
         stale = set(traj_ids)
         if not stale:
             return 0
-        doomed = [
-            key for key in self._entries
-            if key[0] in stale or key[1] in stale
-        ]
+        doomed = [key for key in self._entries if key[1] in stale]
         for key in doomed:
             del self._entries[key]
         return len(doomed)
@@ -479,8 +478,7 @@ class LinkEngine:
         self._options = options
         self._cache = profile_cache if profile_cache is not None else ProfileCache()
         # Kernel backend, resolved once: explicit options override, else
-        # the config the models were fitted under (env override and
-        # numba availability are handled by resolve_kernel_backend).
+        # the config the models were fitted under.
         requested = (
             options.kernel_backend
             if options.kernel_backend is not None
@@ -547,13 +545,13 @@ class LinkEngine:
         }
 
     def invalidate_profiles(self, traj_ids) -> int:
-        """Drop cached profiles for pairs touching any of ``traj_ids``.
+        """Drop cached profiles whose pool candidate is any of ``traj_ids``.
 
-        Required after streaming mutates trajectories under reused ids
-        (ingest flush merges record deltas; eviction drops old records):
-        profile identity is keyed on ids, so stale entries would
-        otherwise serve pre-mutation evidence.  The Poisson-Binomial
-        tail memo is content-addressed and stays valid.
+        Required after streaming mutates pool trajectories under reused
+        ids (ingest flush merges record deltas; eviction drops old
+        records): pool candidates are keyed on ids, so stale entries
+        would otherwise serve pre-mutation evidence.  The
+        Poisson-Binomial tail memo is content-addressed and stays valid.
         """
         return self._cache.invalidate(traj_ids)
 
@@ -641,7 +639,8 @@ class LinkEngine:
                 raise ValidationError(
                     f"requests must be LinkRequest, got {type(request).__name__}"
                 )
-            if request.candidates is not None:
+            shipped = request.candidates is not None
+            if shipped:
                 cands: Sequence[Trajectory] = request.candidates
                 cands_flat = None
             else:
@@ -670,7 +669,9 @@ class LinkEngine:
                         c for c in cands if opts.prefilter.keep(request.query, c)
                     ]
                 kept_flat = None
-            results.append(self._link_one(request.query, kept, opts, kept_flat))
+            results.append(
+                self._link_one(request.query, kept, opts, kept_flat, shipped)
+            )
         return results
 
     # ------------------------------------------------------------------
@@ -688,11 +689,12 @@ class LinkEngine:
         pool: Sequence[Trajectory],
         opts: LinkOptions,
         flat: FlatPool | None = None,
+        shipped: bool = False,
     ) -> LinkResult:
         config = self.config
         with span("profile"):
             profiles = self._cache.get_many(
-                query, pool, config, self._kernel, flat
+                query, pool, config, self._kernel, flat, by_content=shipped
             )
             ev = _PoolEvidence(profiles, self._mr.n_buckets)
             # Feed the context-bound drift sink (no-op when none): the

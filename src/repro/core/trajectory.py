@@ -8,6 +8,7 @@ view is materialised lazily for user code that prefers objects.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ class Trajectory:
         requiring pre-sorted input.
     """
 
-    __slots__ = ("_ts", "_xs", "_ys", "_traj_id")
+    __slots__ = ("_ts", "_xs", "_ys", "_traj_id", "_digest")
 
     def __init__(
         self,
@@ -73,6 +74,7 @@ class Trajectory:
         self._xs = xs_arr
         self._ys = ys_arr
         self._traj_id = traj_id
+        self._digest = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -119,6 +121,7 @@ class Trajectory:
         obj._xs = xs
         obj._ys = ys
         obj._traj_id = traj_id
+        obj._digest = None
         return obj
 
     # ------------------------------------------------------------------
@@ -151,6 +154,20 @@ class Trajectory:
 
     def __hash__(self) -> int:  # identity hash; content equality above
         return id(self)
+
+    def content_digest(self) -> bytes:
+        """A digest of the records alone (not the id), computed once.
+
+        Keys content-addressed caches: trajectories with equal records
+        share a digest whatever their ids, and a reused id with other
+        records gets another one.
+        """
+        if self._digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            for col in (self._ts, self._xs, self._ys):
+                h.update(np.ascontiguousarray(col, dtype=np.float64))
+            self._digest = h.digest()
+        return self._digest
 
     # ------------------------------------------------------------------
     # Columnar accessors (read-only views — the hot-path API)

@@ -1,101 +1,40 @@
 """Kernel backend selection.
 
 The linking hot path (merge-alignment, Vmax compatibility, the
-Poisson-Binomial convolution DP) can run on three interchangeable
-backends:
+Poisson-Binomial convolution DP) runs on two interchangeable,
+bit-identical backends:
 
-``"numba"``
-    ``@njit``-compiled per-pair loops (the FishPy idiom).  Fastest when
-    the ``numba`` package is importable; silently unavailable otherwise.
 ``"numpy"``
-    Batched vectorised kernels over flat pool arrays — the guaranteed
-    fallback.  Pure NumPy, no optional dependencies.
+    Batched vectorised kernels over flat pool arrays — the production
+    path.  Pure NumPy, no optional dependencies.
 ``"python"``
     The per-pair reference path (one NumPy dispatch per pair).  Kept as
     the ground truth for equivalence tests and benchmark baselines.
 
-``"auto"`` (the default everywhere) resolves to ``"numba"`` when the
-package is importable and ``"numpy"`` otherwise.  The resolution order
-is:
-
-1. an explicit backend name passed by the caller
-   (:class:`~repro.core.engine.LinkOptions` / ``--kernel``);
-2. the :data:`KERNEL_BACKEND_ENV` environment variable, consulted when
-   the caller asked for ``"auto"`` (or nothing) — the operational
-   override for pinning a deployment without code changes;
-3. auto-detection.
-
-Requesting ``"numba"`` on a machine without numba degrades gracefully
-to ``"numpy"`` (logged once); it never raises.  Every backend produces
-bit-identical buckets and p-values except the numba fused haversine,
-which may differ from NumPy's by a few ulp (see docs/performance.md).
+``"auto"`` (the default everywhere) means ``"numpy"``.  The backend is
+chosen in code, through :class:`~repro.core.engine.LinkOptions` or
+:class:`~repro.config.FTLConfig`'s ``kernel_backend`` field.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 from repro.errors import ValidationError
 
-#: Environment variable consulted when no explicit backend was chosen.
-KERNEL_BACKEND_ENV = "FTL_KERNEL_BACKEND"
-
-#: Valid kernel backend names (``"auto"`` resolves to one of the rest).
-KERNEL_BACKENDS = ("auto", "numba", "numpy", "python")
-
-_logger = logging.getLogger("repro.kernels")
-
-_numba_probe: bool | None = None
-_warned_fallback = False
-
-
-def numba_available() -> bool:
-    """Whether the ``numba`` package is importable (probed once)."""
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_probe = True
-        except Exception:
-            _numba_probe = False
-    return _numba_probe
+#: Valid kernel backend names (``"auto"`` resolves to ``"numpy"``).
+KERNEL_BACKENDS = ("auto", "numpy", "python")
 
 
 def resolve_kernel_backend(requested: str | None = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    Parameters
-    ----------
-    requested:
-        ``"numba"``, ``"numpy"``, ``"python"``, ``"auto"`` or ``None``
-        (treated as ``"auto"``).  Unknown names raise
-        :class:`~repro.errors.ValidationError`.
-
-    Returns
-    -------
-    One of ``"numba"``, ``"numpy"``, ``"python"`` — never ``"auto"``,
-    and never ``"numba"`` on a machine where numba is not importable.
+    ``requested`` is ``"numpy"``, ``"python"``, ``"auto"`` or ``None``
+    (treated as ``"auto"``), case-insensitive; the result is
+    ``"numpy"`` or ``"python"``.  Unknown names raise
+    :class:`~repro.errors.ValidationError`.
     """
-    global _warned_fallback
     name = "auto" if requested is None else str(requested).lower()
-    if name == "auto":
-        env = os.environ.get(KERNEL_BACKEND_ENV, "").strip().lower()
-        if env:
-            name = env
     if name not in KERNEL_BACKENDS:
         raise ValidationError(
             f"unknown kernel backend {name!r}; known: {KERNEL_BACKENDS}"
         )
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        if not _warned_fallback:
-            _warned_fallback = True
-            _logger.warning(
-                "kernel backend 'numba' requested but numba is not "
-                "importable; falling back to 'numpy'"
-            )
-        return "numpy"
-    return name
+    return "numpy" if name == "auto" else name

@@ -9,7 +9,7 @@ seg_offsets)`` where candidate ``i`` owns
 ``flat[seg_offsets[i]:seg_offsets[i + 1]]`` in merged-segment order —
 exactly the layout :class:`repro.core.engine._PoolEvidence` consumes.
 
-Three implementations (see :mod:`repro.kernels.backend`):
+Two implementations (see :mod:`repro.kernels.backend`):
 
 * ``python`` — one reference call per pair (the historical
   ``mutual_segment_profile`` code path: concatenate + stable argsort).
@@ -23,11 +23,6 @@ Three implementations (see :mod:`repro.kernels.backend`):
   both registered metrics are bit-exactly symmetric in their point
   arguments, so the merged endpoint order need not be reconstructed and
   results are bit-identical to the reference.
-* ``numba`` — an ``@njit`` two-pointer merge per pair with the distance
-  fused into the loop, batched over the pool in one compiled call.
-  Euclidean distances (``math.hypot``) match NumPy bit for bit; the
-  fused haversine may differ by a few ulp (documented tolerance, see
-  docs/performance.md).
 
 Why the ``numpy`` ordering is exact: with ``side="right"`` search
 positions ``idx``, candidate record ``j`` sits at merged position
@@ -45,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.geo.distance import EARTH_RADIUS_M, get_metric
+from repro.geo.distance import get_metric
 
 _EMPTY_BUCKETS = np.empty(0, dtype=np.int64)
 _EMPTY_INCOMPAT = np.empty(0, dtype=bool)
@@ -60,8 +55,8 @@ _EMPTY_INCOMPAT = np.empty(0, dtype=bool)
 #: band empty for all practical inputs.
 _SQ_MARGIN = 1e-12
 
-#: Metric codes for the compiled kernel (no string dispatch in nopython).
-_METRIC_CODES = {"euclidean": 0, "haversine": 1}
+#: Metrics the kernels accept.
+_METRICS = ("euclidean", "haversine")
 
 
 def pair_profile_arrays(
@@ -112,9 +107,10 @@ def pair_profile_arrays(
 
 
 def _pool_profiles_python(
-    p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets, metric, vmax_mps, time_unit_s
+    p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets, metric, vmax_mps, time_unit_s,
+    c_sort=None,
 ):
-    """Per-pair reference loop over the pool (one dispatch per pair)."""
+    """Per-pair reference loop over the pool (``c_sort`` is unused)."""
     n_pool = offsets.size - 1
     bucket_parts = []
     incompat_parts = []
@@ -240,113 +236,9 @@ def _pool_profiles_numpy(
     return buckets, incompatible, seg_offsets
 
 
-# ----------------------------------------------------------------------
-# Compiled backend (lazily jitted; only reached when numba imports)
-# ----------------------------------------------------------------------
-_NUMBA_POOL_KERNEL = None
-
-
-def _numba_pool_kernel():
-    """Build (once) the ``@njit`` two-pointer merge kernel."""
-    global _NUMBA_POOL_KERNEL
-    if _NUMBA_POOL_KERNEL is None:
-        import math
-
-        from numba import njit
-
-        @njit(cache=True, nogil=True)
-        def _merge_pool(
-            p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets,
-            metric_code, out_dts, out_dists, seg_offsets,
-        ):  # pragma: no cover - exercised only where numba is installed
-            n_p = p_ts.size
-            pos = 0
-            for k in range(offsets.size - 1):
-                seg_offsets[k] = pos
-                s = offsets[k]
-                e = offsets[k + 1]
-                if n_p == 0 or e == s:
-                    continue
-                i = 0
-                j = s
-                last_src = -1
-                last_t = 0.0
-                last_x = 0.0
-                last_y = 0.0
-                while i < n_p or j < e:
-                    # P record first at equal timestamps (stable merge).
-                    if j >= e or (i < n_p and p_ts[i] <= c_ts[j]):
-                        t, x, y, src = p_ts[i], p_xs[i], p_ys[i], 0
-                        i += 1
-                    else:
-                        t, x, y, src = c_ts[j], c_xs[j], c_ys[j], 1
-                        j += 1
-                    if last_src >= 0 and src != last_src:
-                        if metric_code == 0:
-                            dist = math.hypot(x - last_x, y - last_y)
-                        else:
-                            lon1 = math.radians(last_x)
-                            lat1 = math.radians(last_y)
-                            lon2 = math.radians(x)
-                            lat2 = math.radians(y)
-                            sdlat = math.sin((lat2 - lat1) / 2.0)
-                            sdlon = math.sin((lon2 - lon1) / 2.0)
-                            a = (
-                                sdlat * sdlat
-                                + math.cos(lat1) * math.cos(lat2) * sdlon * sdlon
-                            )
-                            if a < 0.0:
-                                a = 0.0
-                            elif a > 1.0:
-                                a = 1.0
-                            dist = 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
-                        out_dts[pos] = t - last_t
-                        out_dists[pos] = dist
-                        pos += 1
-                    last_src = src
-                    last_t = t
-                    last_x = x
-                    last_y = y
-            seg_offsets[offsets.size - 1] = pos
-            return pos
-
-        _NUMBA_POOL_KERNEL = _merge_pool
-    return _NUMBA_POOL_KERNEL
-
-
-def _pool_profiles_numba(
-    p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets, metric, vmax_mps, time_unit_s
-):
-    """Compiled two-pointer merges; bucketing stays in NumPy.
-
-    The jit kernel emits each mutual segment's ``(dt, dist)``; the
-    bucket rounding and speed test then use exactly the same vectorised
-    expressions as the other backends, so any deviation is confined to
-    the fused distance (haversine only; ``math.hypot`` is exact).
-    """
-    kernel = _numba_pool_kernel()
-    n_pool = offsets.size - 1
-    max_segs = 2 * c_ts.size
-    dts = np.empty(max_segs, dtype=np.float64)
-    dists = np.empty(max_segs, dtype=np.float64)
-    seg_offsets = np.zeros(n_pool + 1, dtype=np.int64)
-    total = kernel(
-        np.ascontiguousarray(p_ts), np.ascontiguousarray(p_xs),
-        np.ascontiguousarray(p_ys), np.ascontiguousarray(c_ts),
-        np.ascontiguousarray(c_xs), np.ascontiguousarray(c_ys),
-        offsets, _METRIC_CODES[metric], dts, dists, seg_offsets,
-    )
-    dts = dts[:total]
-    dists = dists[:total]
-    buckets = np.rint(dts / time_unit_s).astype(np.int64)
-    incompatible = dists > vmax_mps * dts
-    return buckets, incompatible, seg_offsets
-
-
 _POOL_IMPLS = {
     "python": _pool_profiles_python,
     "numpy": _pool_profiles_numpy,
-    "numba": _pool_profiles_numba,
 }
 
 
@@ -376,8 +268,8 @@ def pool_profile_arrays(
     metric, vmax_mps, time_unit_s:
         Distance metric name, speed cap (m/s), bucket width (s).
     backend:
-        A **concrete** backend name (``python`` / ``numpy`` /
-        ``numba``); resolve ``"auto"`` first via
+        A **concrete** backend name (``python`` / ``numpy``); resolve
+        ``"auto"`` first via
         :func:`repro.kernels.resolve_kernel_backend`.
     c_sort:
         Optional precomputed pool merge cache — ``(c_ts[order], inv,
@@ -392,10 +284,8 @@ def pool_profile_arrays(
     boolean Vmax-incompatibility flags over all pairs' mutual segments
     in merged order, plus per-candidate slice offsets.
     """
-    if metric not in _METRIC_CODES:
-        raise ValidationError(
-            f"unknown metric {metric!r}; known: {tuple(_METRIC_CODES)}"
-        )
+    if metric not in _METRICS:
+        raise ValidationError(f"unknown metric {metric!r}; known: {_METRICS}")
     try:
         impl = _POOL_IMPLS[backend]
     except KeyError:
@@ -403,12 +293,7 @@ def pool_profile_arrays(
             f"not a concrete kernel backend: {backend!r}; "
             f"known: {tuple(_POOL_IMPLS)}"
         ) from None
-    if backend == "numpy":
-        return impl(
-            p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets,
-            metric, vmax_mps, time_unit_s, c_sort,
-        )
     return impl(
         p_ts, p_xs, p_ys, c_ts, c_xs, c_ys, offsets,
-        metric, vmax_mps, time_unit_s,
+        metric, vmax_mps, time_unit_s, c_sort,
     )

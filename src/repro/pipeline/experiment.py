@@ -29,7 +29,7 @@ from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import _log_likelihood
+from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
 from repro.synth.scenario import ScenarioPair
 
@@ -96,7 +96,7 @@ def collect_evidence(
     if not query_ids:
         raise ValidationError("need at least one query id")
     config = mr.config
-    floor = config.prob_floor
+    matcher = NaiveBayesMatcher(mr, ma)
     candidates = list(pair.q_db)
     candidate_ids = tuple(c.traj_id for c in candidates)
     queries: list[QueryEvidence] = []
@@ -107,16 +107,13 @@ def collect_evidence(
         llr = np.empty(len(candidates))
         for i, candidate in enumerate(candidates):
             profile = mutual_segment_profile(query, candidate, config)
-            within = profile.within_horizon(mr.n_buckets)
             p1[i] = rejection_pvalue(profile, mr)
             p2[i] = acceptance_pvalue(profile, ma)
-            ll_r = _log_likelihood(
-                mr.probs_for(within.buckets), within.incompatible, floor
+            decision = matcher.decide_profile(profile)
+            llr[i] = (
+                decision.log_likelihood_rejection
+                - decision.log_likelihood_acceptance
             )
-            ll_a = _log_likelihood(
-                ma.probs_for(within.buckets), within.incompatible, floor
-            )
-            llr[i] = ll_r - ll_a
         queries.append(
             QueryEvidence(
                 query_id=qid,

@@ -80,6 +80,12 @@ _REASONS = {
 #: Cap on header lines per request (defence against header floods).
 _MAX_HEADERS = 100
 
+#: The routes under ``/v1``; each names its own latency histogram.
+_ROUTES = (
+    "/link", "/assign", "/ingest", "/queries", "/watch", "/healthz",
+    "/metrics", "/admin/model",
+)
+
 _LOG = logging.getLogger("ftl.server")
 
 
@@ -496,8 +502,10 @@ class LinkServer:
         (the batcher captures it at submit time), echoed in dict
         response bodies and the ``X-Trace-Id`` header, and stamped on
         the structured ``request`` log event.  Only ``/v1/...`` paths
-        route; their route (``/v1/link`` -> ``/link``) also names the
-        latency histogram.
+        route; a known route (``/v1/link`` -> ``/link``) also names the
+        latency histogram, and every other path shares
+        ``request_unknown`` so client-chosen paths cannot grow the
+        metric registry.
         """
         self._state.metrics.inc("requests_total")
         started = self._clock()
@@ -521,7 +529,11 @@ class LinkServer:
             return status, payload, trace_id
         finally:
             obs.reset_trace_id(token)
-            label = route.strip("/").replace("/", "_") or "root"
+            label = (
+                route.strip("/").replace("/", "_")
+                if route in _ROUTES
+                else "unknown"
+            )
             self._state.metrics.observe(
                 f"request_{label}", self._clock() - started
             )
@@ -572,9 +584,7 @@ class LinkServer:
                 "error": {
                     "type": "NotFound",
                     "message": f"unknown endpoint {path!r}; known: "
-                               "/v1/link /v1/assign /v1/ingest /v1/queries "
-                               "/v1/watch /v1/healthz /v1/metrics "
-                               "/v1/admin/model",
+                               + " ".join("/v1" + r for r in _ROUTES),
                     "status": 404,
                 }
             }

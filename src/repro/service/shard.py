@@ -158,12 +158,9 @@ def reindexed(trajectory: Trajectory, global_index: int) -> Trajectory:
     """
     # Records are already validated and time-sorted; bypass __init__ so
     # re-identifying a large pool at fork time costs O(1) per trajectory.
-    clone = Trajectory.__new__(Trajectory)
-    clone._ts = trajectory._ts
-    clone._xs = trajectory._xs
-    clone._ys = trajectory._ys
-    clone._traj_id = global_index
-    return clone
+    return Trajectory.from_arrays_unchecked(
+        trajectory._ts, trajectory._xs, trajectory._ys, global_index
+    )
 
 
 # ----------------------------------------------------------------------

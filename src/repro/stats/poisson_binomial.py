@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.kernels import pmf_dp_batch_numba, resolve_kernel_backend
+from repro.kernels import resolve_kernel_backend
 
 _BACKENDS = ("dp", "recursive", "normal")
 
@@ -107,10 +107,9 @@ def pb_pmf_batch(
     path.
 
     ``kernel`` picks the DP implementation (see :mod:`repro.kernels`):
-    ``"numba"`` runs a compiled per-row scalar recurrence, ``"numpy"``
-    the vectorised state-matrix DP, ``"python"`` the per-variable
-    reference loop; ``None``/``"auto"`` resolve via
-    :func:`repro.kernels.resolve_kernel_backend`.  All three produce
+    ``"numpy"`` the vectorised state-matrix DP, ``"python"`` the
+    per-variable reference loop; ``None``/``"auto"`` resolve via
+    :func:`repro.kernels.resolve_kernel_backend`.  Both produce
     bit-identical pmfs (same IEEE operations in the same order).
     """
     if backend != "dp":
@@ -123,9 +122,7 @@ def pb_pmf_batch(
         shift = int(np.count_nonzero(ps == 1.0))
         metas.append((int(ps.size), shift))
         cores_in.append(ps[(ps > 0.0) & (ps < 1.0)])
-    if resolved == "numba":
-        cores = pmf_dp_batch_numba(cores_in)
-    elif resolved == "python":
+    if resolved == "python":
         cores = [_pmf_dp(ps) for ps in cores_in]
     else:
         cores = _pmf_dp_batch(cores_in)

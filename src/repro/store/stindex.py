@@ -1,7 +1,7 @@
 """Persisted spatio-temporal blocking for candidate pruning.
 
-:class:`~repro.core.blocking.CandidateIndex` blocks on time alone: a
-candidate survives when its observation window overlaps the query's.
+Blocking on time alone (:meth:`SpatioTemporalIndex.temporal_ids_for`)
+keeps a candidate when its observation window overlaps the query's.
 At serving scale that still admits every concurrently observed
 trajectory in the city.  :class:`SpatioTemporalIndex` crosses the same
 time-window test with a uniform geo-grid of each candidate's *visited
@@ -171,7 +171,7 @@ class SpatioTemporalIndex:
 
     Build with :meth:`build`, or persist/restore with :meth:`save` /
     :meth:`open`.  Empty trajectories are excluded (they can never
-    match), matching :class:`~repro.core.blocking.CandidateIndex`.
+    match).
     """
 
     def __init__(
@@ -485,7 +485,7 @@ class SpatioTemporalIndex:
     def temporal_ids_for(
         self, query: Trajectory, min_overlap_s: float = 0.0
     ) -> list[str]:
-        """The time-only blocking result (the ``CandidateIndex`` baseline)."""
+        """The time-only blocking result (the temporal baseline)."""
         if min_overlap_s < 0:
             raise ValidationError(
                 f"min_overlap_s must be >= 0, got {min_overlap_s}"

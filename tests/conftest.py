@@ -62,3 +62,29 @@ def fitted_models(small_pair, session_rng):
         [small_pair.p_db, small_pair.q_db], config, session_rng
     )
     return mr, ma
+
+
+@pytest.fixture(scope="session")
+def graph_of():
+    """Build a CostGraph from ``(query_id, candidate_id, score)`` triples.
+
+    Goes through :func:`repro.assign.graph_from_link_results`, so the
+    production ``min_score`` filter decides which triples become edges.
+    """
+    from repro.assign import graph_from_link_results
+    from repro.core.engine import Candidate, LinkResult
+
+    def build(triples, min_score=0.0):
+        qids = list(dict.fromkeys(q for q, _, _ in triples))
+        cids = list(dict.fromkeys(c for _, c, _ in triples))
+        ranked = {qid: [] for qid in qids}
+        for qid, cid, score in triples:
+            ranked[qid].append(Candidate(cid, score, 0.0, 0.0, 0, 0))
+        results = [
+            LinkResult(qid, "alpha-filter", tuple(ranked[qid])) for qid in qids
+        ]
+        return graph_from_link_results(
+            results, qids, cids, min_score, len(triples)
+        )
+
+    return build

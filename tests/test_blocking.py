@@ -1,13 +1,17 @@
-"""Temporal blocking index."""
+"""Time-only blocking: :meth:`SpatioTemporalIndex.temporal_ids_for`.
+
+Every fixture trajectory sits at the origin, so the spatial screen of
+``candidates_for`` keeps them all and only the time test decides.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.blocking import CandidateIndex
 from repro.core.database import TrajectoryDatabase
 from repro.core.prefilter import TimeOverlapPrefilter
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
+from repro.store.stindex import SpatioTemporalIndex
 
 
 def traj(start, end, traj_id, n=5):
@@ -29,33 +33,35 @@ def db():
 
 @pytest.fixture
 def index(db):
-    return CandidateIndex(db)
+    return SpatioTemporalIndex.build(db)
 
 
 class TestCandidateIndex:
+    """The time-only candidate index, served by ``SpatioTemporalIndex``."""
+
     def test_len(self, index):
         assert len(index) == 4
 
     def test_overlapping_windows_found(self, index):
         query = traj(60, 90, "q")
-        ids = set(index.ids_for(query))
+        ids = set(index.temporal_ids_for(query))
         assert ids == {"early", "overlap", "always"}
 
     def test_min_overlap_filters(self, index):
         query = traj(90, 190, "q")
         # 'early' overlaps [90,100] = 10s only.
-        assert "early" in index.ids_for(query, min_overlap_s=5.0)
-        assert "early" not in index.ids_for(query, min_overlap_s=20.0)
+        assert "early" in index.temporal_ids_for(query, min_overlap_s=5.0)
+        assert "early" not in index.temporal_ids_for(query, min_overlap_s=20.0)
 
     def test_disjoint_query_empty(self, index):
         query = traj(2000, 3000, "q")
-        assert index.ids_for(query, min_overlap_s=1.0) == []
+        assert index.temporal_ids_for(query, min_overlap_s=1.0) == []
 
     def test_empty_query(self, index):
         assert index.candidates_for(Trajectory.empty("q")) == []
 
     def test_empty_database(self):
-        index = CandidateIndex(TrajectoryDatabase())
+        index = SpatioTemporalIndex.build(TrajectoryDatabase())
         assert index.candidates_for(traj(0, 10, "q")) == []
         with pytest.raises(ValidationError):
             index.coverage_window()
@@ -69,12 +75,12 @@ class TestCandidateIndex:
 
     def test_superset_of_prefilter(self, small_pair):
         """Contract: index results ⊇ prefilter-kept candidates."""
-        index = CandidateIndex(small_pair.q_db)
+        index = SpatioTemporalIndex.build(small_pair.q_db)
         prefilter = TimeOverlapPrefilter(min_overlap_s=3600.0)
         rng = np.random.default_rng(0)
         for pid in small_pair.sample_queries(8, rng):
             query = small_pair.p_db[pid]
-            from_index = set(index.ids_for(query, min_overlap_s=3600.0))
+            from_index = set(index.temporal_ids_for(query, min_overlap_s=3600.0))
             from_prefilter = {
                 c.traj_id
                 for c in small_pair.q_db
@@ -87,7 +93,7 @@ class TestCandidateIndex:
         from repro.core.linker import FTLLinker
 
         mr, ma = fitted_models
-        index = CandidateIndex(small_pair.q_db)
+        index = SpatioTemporalIndex.build(small_pair.q_db)
         linker = FTLLinker(mr.config, phi_r=0.1).with_models(
             mr, ma, small_pair.q_db
         )

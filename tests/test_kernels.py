@@ -1,12 +1,12 @@
 """Kernel backend selection and cross-backend bit-identity.
 
-The contract under test (see ``docs/performance.md``): every kernel
-backend — the per-pair ``python`` reference, the batched ``numpy``
-kernels, and ``numba`` where importable — produces bit-identical
-mutual-segment profiles, Poisson-Binomial pmfs, and end-to-end
-rankings (sole documented exception: the numba fused haversine may
-differ by a few ulp in the *distance*, never in the profile layout).
+The contract under test (see ``docs/performance.md``): both kernel
+backends — the per-pair ``python`` reference and the batched ``numpy``
+kernels — produce bit-identical mutual-segment profiles,
+Poisson-Binomial pmfs, and end-to-end rankings.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,54 +20,55 @@ from repro.core.alignment import (
     mutual_segment_profile,
 )
 from repro.core.engine import LinkEngine, LinkOptions
+from repro.core.models import CompatibilityModel
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
-from repro.kernels import (
-    KERNEL_BACKEND_ENV,
-    KERNEL_BACKENDS,
-    numba_available,
-    resolve_kernel_backend,
-)
+from repro.kernels import KERNEL_BACKENDS, resolve_kernel_backend
 from repro.stats.poisson_binomial import pb_pmf_batch
-
-requires_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not importable in this environment"
-)
 
 
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_none_and_auto_resolve_concrete(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_kernel_backend(None) == expected
-        assert resolve_kernel_backend("auto") == expected
+    def test_none_and_auto_resolve_concrete(self):
+        assert resolve_kernel_backend(None) == "numpy"
+        assert resolve_kernel_backend("auto") == "numpy"
 
     @pytest.mark.parametrize("name", ["python", "numpy"])
     def test_explicit_backends_pass_through(self, name):
         assert resolve_kernel_backend(name) == name
 
+    @pytest.mark.parametrize(
+        "config_backend, options_backend",
+        [("python", "numpy"), ("numpy", "python")],
+    )
+    def test_options_override_config(
+        self, fitted_models, config_backend, options_backend
+    ):
+        models = with_kernel_backend(fitted_models, config_backend)
+        engine = LinkEngine(
+            *models, options=LinkOptions(kernel_backend=options_backend)
+        )
+        assert engine.kernel_backend == options_backend
+
     def test_numba_request_degrades_gracefully(self):
-        resolved = resolve_kernel_backend("numba")
-        assert resolved == ("numba" if numba_available() else "numpy")
+        """The deleted numba backend is refused with a typed error.
 
-    def test_env_override_applies_to_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "python")
-        assert resolve_kernel_backend("auto") == "python"
-        assert resolve_kernel_backend(None) == "python"
+        Every entry point raises :class:`ValidationError` naming the
+        remaining backends, so a caller can fall back on one of them.
+        """
+        for request in (
+            lambda: resolve_kernel_backend("numba"),
+            lambda: FTLConfig(kernel_backend="numba"),
+            lambda: LinkOptions(kernel_backend="numba"),
+        ):
+            with pytest.raises(ValidationError, match="numpy"):
+                request()
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "python")
-        assert resolve_kernel_backend("numpy") == "numpy"
-
-    def test_unknown_name_raises(self, monkeypatch):
+    def test_unknown_name_raises(self):
         with pytest.raises(ValidationError):
             resolve_kernel_backend("fortran")
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "fortran")
-        with pytest.raises(ValidationError):
-            resolve_kernel_backend("auto")
 
     def test_config_and_options_validate_backend(self):
         with pytest.raises(ValidationError):
@@ -77,6 +78,16 @@ class TestResolution:
         for name in KERNEL_BACKENDS:
             FTLConfig(kernel_backend=name)
             LinkOptions(kernel_backend=name)
+
+
+def with_kernel_backend(fitted_models, backend):
+    """The fitted model pair under a config naming another kernel backend."""
+    return tuple(
+        CompatibilityModel(
+            m.kind, m.counts, replace(m.config, kernel_backend=backend)
+        )
+        for m in fitted_models
+    )
 
 
 # ----------------------------------------------------------------------
@@ -212,30 +223,6 @@ class TestProfileKernels:
         ref = mutual_segment_profile(p, q, config, backend="python")
         assert mutual_segment_profile(p, q, config, backend="numpy") == ref
 
-    @requires_numba
-    @settings(max_examples=15, deadline=None)
-    @given(q=trajectory_strategy(), pool=pool_strategy())
-    def test_numba_matches_python_euclidean(self, q, pool):
-        config = FTLConfig()
-        ref = batch_mutual_segment_profiles(q, pool, config, backend="python")
-        got = batch_mutual_segment_profiles(q, pool, config, backend="numba")
-        assert [p.token for p in ref] == [p.token for p in got]
-
-    @requires_numba
-    @settings(max_examples=10, deadline=None)
-    @given(
-        q=trajectory_strategy(degrees=True),
-        pool=pool_strategy(degrees=True),
-    )
-    def test_numba_haversine_within_ulp_tolerance(self, q, pool):
-        """Fused haversine: same layout/buckets; flags equal away from ties."""
-        config = FTLConfig(metric="haversine")
-        ref = batch_mutual_segment_profiles(q, pool, config, backend="python")
-        got = batch_mutual_segment_profiles(q, pool, config, backend="numba")
-        for a, b in zip(ref, got):
-            assert np.array_equal(a.buckets, b.buckets)
-            assert a.incompatible.shape == b.incompatible.shape
-
 
 # ----------------------------------------------------------------------
 # Poisson-Binomial DP bit-identity
@@ -264,15 +251,6 @@ class TestPoissonBinomialKernels:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 
-    @requires_numba
-    @settings(max_examples=15, deadline=None)
-    @given(probs_list=probs_list_strategy())
-    def test_numba_matches_python(self, probs_list):
-        ref = pb_pmf_batch(probs_list, kernel="python")
-        got = pb_pmf_batch(probs_list, kernel="numba")
-        for a, b in zip(ref, got):
-            assert np.array_equal(a, b)
-
 
 # ----------------------------------------------------------------------
 # End-to-end: backends are interchangeable inside the engine
@@ -294,16 +272,14 @@ class TestEngineBackendIdentity:
         ids = small_pair.sample_queries(5, rng)
         queries = [small_pair.p_db[qid] for qid in ids]
         pool = list(small_pair.q_db)
-        backends = ["python", "numpy"] + (["numba"] if numba_available() else [])
         results = {}
-        for backend in backends:
+        for backend in ("python", "numpy"):
             engine = LinkEngine(
                 mr, ma, options=options.with_updates(kernel_backend=backend)
             )
             assert engine.kernel_backend == resolve_kernel_backend(backend)
             results[backend] = engine.link_batch(queries, pool)
-        for backend in backends[1:]:
-            assert results[backend] == results["python"]
+        assert results["numpy"] == results["python"]
 
     def test_stage_backends_surface(self, fitted_models):
         mr, ma = fitted_models
@@ -314,8 +290,7 @@ class TestEngineBackendIdentity:
         assert stages["profile"] == "numpy"
         assert stages["pb_test"] == "dp[numpy]"
 
-    def test_env_pin_reaches_engine(self, fitted_models, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "python")
-        mr, ma = fitted_models
-        engine = LinkEngine(mr, ma)
-        assert engine.kernel_backend == "python"
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_config_backend_reaches_engine(self, fitted_models, backend):
+        engine = LinkEngine(*with_kernel_backend(fitted_models, backend))
+        assert engine.kernel_backend == backend

@@ -5,53 +5,66 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import greedy_assignment, optimal_assignment
-from repro.core.blocking import CandidateIndex
+from repro.assign import solve
 from repro.core.database import TrajectoryDatabase
 from repro.core.prefilter import TimeOverlapPrefilter
 from repro.core.trajectory import Trajectory
+from repro.store.stindex import SpatioTemporalIndex
 from repro.stats.bootstrap import bootstrap_ci
 from repro.pipeline.score_analysis import auc_from_scores
 
 
-def score_triples(max_side=6):
+def score_tables(max_side=6):
+    """Dense random ``(query_id, candidate_id, score)`` tables."""
+
     @st.composite
     def build(draw):
         n_q = draw(st.integers(1, max_side))
         n_c = draw(st.integers(1, max_side))
-        triples = []
-        for i in range(n_q):
-            for j in range(n_c):
-                score = draw(st.floats(0.0, 1.0, allow_nan=False))
-                triples.append((f"p{i}", f"c{j}", score))
-        return triples
+        return [
+            (f"p{i}", f"c{j}", draw(st.floats(0.0, 1.0, allow_nan=False)))
+            for i in range(n_q)
+            for j in range(n_c)
+        ]
 
     return build()
 
 
 class TestAssignmentProperties:
-    @given(score_triples())
+    @given(score_tables())
     @settings(max_examples=40, deadline=None)
-    def test_optimal_never_below_greedy(self, triples):
-        greedy = greedy_assignment(triples, min_score=0.0)
-        optimal = optimal_assignment(triples, min_score=0.0)
+    def test_optimal_never_below_greedy(self, graph_of, triples):
+        graph = graph_of(triples)
+        greedy = solve(graph, backend="greedy")
+        optimal = solve(graph, backend="reference")
         assert optimal.total_score >= greedy.total_score - 1e-9
 
-    @given(score_triples())
+    @given(score_tables())
     @settings(max_examples=40, deadline=None)
-    def test_both_are_matchings(self, triples):
-        for solver in (greedy_assignment, optimal_assignment):
-            result = solver(triples, min_score=0.0)
+    def test_greedy_is_half_approximation(self, graph_of, triples):
+        graph = graph_of(triples)
+        greedy = solve(graph, backend="greedy")
+        optimal = solve(graph, backend="reference")
+        assert greedy.total_score >= 0.5 * optimal.total_score - 1e-9
+
+    @given(score_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_both_are_matchings(self, graph_of, triples):
+        graph = graph_of(triples)
+        for backend in ("greedy", "reference"):
+            result = solve(graph, backend=backend)
             assert len(set(result.pairs.keys())) == len(result.pairs)
             assert len(set(result.pairs.values())) == len(result.pairs)
 
-    @given(score_triples(), st.floats(0.0, 1.0))
+    @given(score_tables(), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_min_score_respected(self, triples, min_score):
-        result = greedy_assignment(triples, min_score=min_score)
+    def test_min_score_respected(self, graph_of, triples, min_score):
+        graph = graph_of(triples, min_score=min_score)
         scores = {(q, c): s for q, c, s in triples}
-        for q, c in result.pairs.items():
-            assert scores[(q, c)] > min_score
+        for backend in ("greedy", "reference"):
+            result = solve(graph, backend=backend)
+            for q, c in result.pairs.items():
+                assert scores[(q, c)] > min_score
 
 
 class TestAucProperties:
@@ -127,12 +140,12 @@ class TestBlockingProperties:
         db = TrajectoryDatabase()
         for i, (start, length) in enumerate(windows):
             ts = np.array([start, start + length])
-            db.add(Trajectory(ts, np.zeros(2), np.zeros(2), i))
-        index = CandidateIndex(db)
+            db.add(Trajectory(ts, np.zeros(2), np.zeros(2), f"t{i}"))
+        index = SpatioTemporalIndex.build(db)
         query = Trajectory(
             np.array([q_start, q_start + q_len]), np.zeros(2), np.zeros(2), "q"
         )
-        from_index = set(index.ids_for(query, min_overlap_s=min_overlap))
+        from_index = set(index.temporal_ids_for(query, min_overlap_s=min_overlap))
         linear = {
             t.traj_id
             for t in db
@@ -148,13 +161,13 @@ class TestBlockingProperties:
         for i in range(20):
             start = rng.uniform(0, 1e4)
             ts = np.sort(rng.uniform(start, start + 5e3, 5))
-            db.add(Trajectory(ts, np.zeros(5), np.zeros(5), i))
-        index = CandidateIndex(db)
+            db.add(Trajectory(ts, np.zeros(5), np.zeros(5), f"t{i}"))
+        index = SpatioTemporalIndex.build(db)
         prefilter = TimeOverlapPrefilter(min_overlap_s=1000.0)
         for _ in range(10):
             start = rng.uniform(0, 1e4)
             ts = np.sort(rng.uniform(start, start + 4e3, 4))
             query = Trajectory(ts, np.zeros(4), np.zeros(4), "q")
             kept = {c.traj_id for c in db if prefilter.keep(query, c)}
-            indexed = set(index.ids_for(query, min_overlap_s=1000.0))
+            indexed = set(index.temporal_ids_for(query, min_overlap_s=1000.0))
             assert kept <= indexed

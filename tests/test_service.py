@@ -23,6 +23,7 @@ from repro.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
+from repro.obs.prometheus import validate_exposition
 from repro.service.batcher import MicroBatcher
 from repro.service.client import ServiceClient
 from repro.service.protocol import IngestWireRequest
@@ -105,6 +106,24 @@ class TestHealthAndMetrics:
             client.request("GET", "/linkz")
         assert exc.value.status == 404
         assert exc.value.payload["error"]["type"] == "NotFound"
+
+    def test_unknown_paths_share_one_metric_family(self, client):
+        def families():
+            text = client.metrics_text()
+            assert validate_exposition(text) == []
+            return {
+                line.split()[2]
+                for line in text.splitlines()
+                if line.startswith("# TYPE ")
+            }
+
+        before = families()
+        for i in range(200):
+            with pytest.raises(RemoteServiceError) as exc:
+                client.request("GET", f"/v1/probe{i}")
+            assert exc.value.status == 404
+        added = families() - before
+        assert added <= {"ftl_request_unknown_seconds"}
 
 
 class TestLinkEndpoint:
