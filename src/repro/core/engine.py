@@ -13,7 +13,8 @@ large-scale spatio-temporal linkage):
 
 1. every pair's mutual-segment profile is computed **exactly once** per
    call through an LRU :class:`ProfileCache` keyed on
-   ``(query_id, candidate_id, config)``;
+   ``(query digest, candidate digest, config)`` — record content, not
+   ids;
 2. the in-horizon evidence of the whole candidate pool is gathered into
    flat NumPy arrays — one :meth:`~repro.core.models.CompatibilityModel.probs_for`
    gather and one vectorised ``log`` pass per model serve every
@@ -163,10 +164,9 @@ class LinkRequest:
     query:
         The trajectory to link.
     candidates:
-        The candidate pool for this request, cached by content (ids
-        may be reused with other records); ``None`` uses the
-        ``default_pool`` passed to :meth:`LinkEngine.link_requests`,
-        cached by id.
+        The candidate pool for this request (ids may be reused with
+        other records: profiles are cached by content); ``None`` uses
+        the ``default_pool`` passed to :meth:`LinkEngine.link_requests`.
     options:
         Per-request options; ``None`` uses the engine defaults (or the
         call-level override).
@@ -269,18 +269,19 @@ class CacheStats:
 
 
 class ProfileCache:
-    """LRU cache of mutual-segment profiles keyed on pair identity.
+    """LRU cache of mutual-segment profiles keyed on pair content.
 
-    Keys are ``(query_key, candidate_key, config)``.  The query side is
-    always keyed on :meth:`~repro.core.trajectory.Trajectory.content_digest`,
-    so a query that reuses an id with other records never hits a stale
-    profile.  The candidate side is keyed on the trajectory id for a
-    resident pool — whose owner must :meth:`invalidate` (or
-    :meth:`clear`) ids whose records change — or on the content digest
-    when ``by_content`` is set, for candidates shipped with a request.
-    The :class:`~repro.config.FTLConfig` is a frozen dataclass and
-    therefore hashable, so one cache can serve engines running under
-    different configurations.
+    Keys are ``(query digest, candidate digest, config)``, both digests
+    from :meth:`~repro.core.trajectory.Trajectory.content_digest` (the
+    records alone, computed once per object).  A profile depends on the
+    two record sequences and the config only, so a content key can
+    never go stale: a reused id with other records, or a pool entry a
+    streaming flush or eviction replaced, simply keys a new entry, and
+    the superseded ones age out of the LRU — nothing is ever
+    invalidated.  Trajectories with equal records share one entry
+    whatever their ids.  The :class:`~repro.config.FTLConfig` is a
+    frozen dataclass and therefore hashable, so one cache can serve
+    engines running under different configurations.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PROFILE_CACHE_SIZE) -> None:
@@ -309,30 +310,24 @@ class ProfileCache:
         config: FTLConfig,
         backend: str | None = None,
         flat: FlatPool | None = None,
-        by_content: bool = False,
     ) -> list[MutualSegmentProfile]:
         """Profiles of one query against many candidates, batching misses.
 
         Counter semantics match a loop of single-pair lookups exactly
-        (a repeated candidate key within one pool is one miss plus
-        hits), but all missing pairs are aligned in a single
+        (candidates with equal records within one pool are one miss
+        plus hits), but all missing pairs are aligned in a single
         :func:`~repro.core.alignment.batch_mutual_segment_profiles`
         kernel invocation instead of per-pair calls.  A prebuilt
         ``flat`` :class:`~repro.core.alignment.FlatPool` of the full
         candidate list is used when every pair misses (the cold-cache
         batch case); partial misses re-flatten just the missing subset.
-        ``by_content`` keys candidates on their content digest instead
-        of their id (see the class docstring).
         """
         results: list[MutualSegmentProfile | None] = [None] * len(candidates)
         pending: OrderedDict[tuple, list[int]] = OrderedDict()
         pending_cands: list[Trajectory] = []
         query_key = query.content_digest()
         for pos, candidate in enumerate(candidates):
-            cand_key = (
-                candidate.content_digest() if by_content else candidate.traj_id
-            )
-            key = (query_key, cand_key, config)
+            key = (query_key, candidate.content_digest(), config)
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -365,23 +360,6 @@ class ProfileCache:
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         self._entries.clear()
-
-    def invalidate(self, traj_ids) -> int:
-        """Drop every entry whose candidate is any of the given ids.
-
-        The targeted form of the :meth:`clear` contract for streaming:
-        when an ingest flush or sliding-window eviction changes records
-        under reused ids, only pairs keyed on those candidate ids are
-        stale (query and ``by_content`` keys are content digests, which
-        cannot go stale).  Returns the number of entries dropped.
-        """
-        stale = set(traj_ids)
-        if not stale:
-            return 0
-        doomed = [key for key in self._entries if key[1] in stale]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -544,17 +522,6 @@ class LinkEngine:
             "prefilter": "python",
         }
 
-    def invalidate_profiles(self, traj_ids) -> int:
-        """Drop cached profiles whose pool candidate is any of ``traj_ids``.
-
-        Required after streaming mutates pool trajectories under reused
-        ids (ingest flush merges record deltas; eviction drops old
-        records): pool candidates are keyed on ids, so stale entries
-        would otherwise serve pre-mutation evidence.  The
-        Poisson-Binomial tail memo is content-addressed and stays valid.
-        """
-        return self._cache.invalidate(traj_ids)
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -639,8 +606,7 @@ class LinkEngine:
                 raise ValidationError(
                     f"requests must be LinkRequest, got {type(request).__name__}"
                 )
-            shipped = request.candidates is not None
-            if shipped:
+            if request.candidates is not None:
                 cands: Sequence[Trajectory] = request.candidates
                 cands_flat = None
             else:
@@ -670,7 +636,7 @@ class LinkEngine:
                     ]
                 kept_flat = None
             results.append(
-                self._link_one(request.query, kept, opts, kept_flat, shipped)
+                self._link_one(request.query, kept, opts, kept_flat)
             )
         return results
 
@@ -689,12 +655,11 @@ class LinkEngine:
         pool: Sequence[Trajectory],
         opts: LinkOptions,
         flat: FlatPool | None = None,
-        shipped: bool = False,
     ) -> LinkResult:
         config = self.config
         with span("profile"):
             profiles = self._cache.get_many(
-                query, pool, config, self._kernel, flat, by_content=shipped
+                query, pool, config, self._kernel, flat
             )
             ev = _PoolEvidence(profiles, self._mr.n_buckets)
             # Feed the context-bound drift sink (no-op when none): the

@@ -144,7 +144,7 @@ class FTLLinker:
 
     @property
     def profile_cache(self) -> ProfileCache:
-        """The engine's profile cache (for stats and invalidation)."""
+        """The engine's profile cache (for stats)."""
         return self.engine.cache
 
     @property

@@ -307,9 +307,8 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
     if op == "score_pairs":
         # Standing-query re-scoring: the coordinator ships the current
         # candidate trajectories (the worker's resident pool is a
-        # frozen fork-time slice) and names the ids whose cached
-        # profiles are stale from the flush/eviction being applied.
-        state.engine.invalidate_profiles(payload["invalidate"])
+        # frozen fork-time slice); profiles are cached by content, so
+        # none computed for their superseded records can be served.
         result = state.engine.link_requests(
             [
                 LinkRequest(
@@ -414,10 +413,10 @@ class LocalShard:
     Answers the same ops as :func:`run_worker` by calling
     :func:`_dispatch_op` on the caller's thread: no fork, no pickle, no
     socket and no scatter-thread hop.  ``state`` links the
-    coordinator's *live* pool under the real trajectory ids, so pool
-    refreshes reach it and the stream runtime's id-keyed profile-cache
-    invalidations hit the cache it links with; one partial is already
-    the global order, so nothing is re-indexed or merged.
+    coordinator's *live* pool under the real trajectory ids, so the
+    stream runtime's in-place pool updates reach the next link; one
+    partial is already the global order, so nothing is re-indexed or
+    merged.
 
     Each op runs under the coordinator's re-entrant engine lock — the
     one-op-at-a-time guarantee a worker's socket gives, and the lock
@@ -444,8 +443,8 @@ class LocalShard:
         ):
             if op == "swap_model":
                 # Adopt the engine the coordinator swapped in, not a
-                # copy rebuilt from the dicts: the stream runtime
-                # invalidates *that* engine's profile cache on flushes.
+                # copy rebuilt from the dicts, so the shard and the
+                # stream runtime keep sharing one engine and its cache.
                 self.state.adopt_engine(
                     self._coordinator.engine, payload.get("artifact_id")
                 )

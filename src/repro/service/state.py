@@ -237,8 +237,8 @@ class ServiceState:
     store: object | None = None
     provenance: dict | None = None
     #: Optional :class:`repro.stream.StreamRuntime`; when set, every
-    #: store flush runs the incremental pipeline (delta block, pool
-    #: refresh, targeted cache invalidation, standing-query re-scoring).
+    #: store flush runs the incremental pipeline (delta block, in-place
+    #: pool update, standing-query re-scoring).
     stream: object | None = None
     #: Artifact id of the model pair the engine was built from (``None``
     #: for an ad-hoc in-process fit); reported by health/admin handlers.
@@ -283,20 +283,6 @@ class ServiceState:
         self.model_artifact_id = artifact_id
         self.evidence.reset(engine.config.n_buckets)
         self.metrics.inc("model_swaps_total")
-
-    def refresh_pool(self) -> int:
-        """Reload the resident pool from the attached store, in place.
-
-        In-place mutation (not rebinding) so the engine/server views
-        holding a reference to the same list observe the refresh.
-        Returns the new pool size.  Raises
-        :class:`~repro.errors.ValidationError` without a store.
-        """
-        if self.store is None:
-            raise ValidationError("no trajectory store attached to this daemon")
-        self.pool[:] = list(self.store.load())
-        self.metrics.inc("pool_refreshes_total")
-        return len(self.pool)
 
     # ------------------------------------------------------------------
     # Ingest sessions

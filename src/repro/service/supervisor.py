@@ -143,7 +143,7 @@ class ShardSupervisor:
         self._cell_size_m = float(cell_size_m)
         # One shard links the coordinator's live pool in-process, so it
         # has no plan.  Forked workers get a plan frozen at
-        # construction: a pool refresh in the coordinator does NOT
+        # construction: a pool update in the coordinator does NOT
         # repartition them (restart the daemon to re-shard; documented
         # in docs/service.md).
         self._plans: list[ShardPlan] | None = (
@@ -451,24 +451,22 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Standing-query re-scoring scatter
     # ------------------------------------------------------------------
-    def score_pairs(self, query, candidates, options, changed_ids):
+    def score_pairs(self, query, candidates, options):
         """Score changed standing-query pairs on the workers owning them.
 
         The workers' resident pools are frozen fork-time slices, so the
-        *current* candidate trajectories ship with the request and each
-        worker first drops its cached profiles for those ids.  (The
-        in-process shard shares the coordinator's engine, whose cache
-        the stream runtime already invalidated; it drops nothing.)
-        Candidates route by id hash (the ring ingest uses); a shard
-        that cannot answer even after a respawn falls back to the
-        coordinator engine, so an update is never silently lost.  The
+        *current* candidate trajectories ship with the request; profile
+        caches are keyed on content, so no worker can serve a profile
+        of a candidate's superseded records.  Candidates route by id
+        hash (the ring ingest uses); a shard that cannot answer even
+        after a respawn falls back to the coordinator engine, so an
+        update is never silently lost.  The
         returned :class:`Candidate` entries are bit-identical to a
         coordinator-local score — per-pair statistics depend only on
         (query, candidate, options), regardless of which process runs
         them (the merge-correctness argument in
         :mod:`repro.service.shard`).
         """
-        del changed_ids  # implied by the shipped candidates
         groups: dict[int, list[Trajectory]] = {}
         for trajectory in candidates:
             shard_id = self.ring.shard_for(f"id:{trajectory.traj_id}")
@@ -477,16 +475,7 @@ class ShardSupervisor:
             shard_id: self._submit(
                 shard_id,
                 "score_pairs",
-                {
-                    "query": query,
-                    "candidates": group,
-                    "options": options,
-                    "invalidate": (
-                        [str(t.traj_id) for t in group]
-                        if self._plans is not None
-                        else []
-                    ),
-                },
+                {"query": query, "candidates": group, "options": options},
             )
             for shard_id, group in groups.items()
         }
@@ -496,9 +485,6 @@ class ShardSupervisor:
                 scored.extend(future.result())
             except WorkerCrashedError:
                 self._state.metrics.inc("score_pairs_fallback_total")
-                self._state.engine.invalidate_profiles(
-                    [str(t.traj_id) for t in groups[shard_id]]
-                )
                 result = self._state.engine.link_requests(
                     [LinkRequest(
                         query,
@@ -751,7 +737,7 @@ class ShardSupervisor:
         """Whether the coordinator pool drifted from the frozen plan.
 
         The shard plan is frozen at fork time, but streaming flushes
-        and evictions refresh the coordinator pool in place — so
+        and evictions update the coordinator pool in place — so
         pool-backed ``/v1/link`` scatters keep serving the fork-time
         snapshot while standing queries track the live pool.  Drift is
         either an id-list change *or* a store-generation change: a

@@ -202,18 +202,26 @@ class TrajectoryStore:
     def load(self, name: str | None = None) -> TrajectoryDatabase:
         """Materialise the store as a :class:`TrajectoryDatabase`.
 
+        Ids come out in **first-seen order**: by the segment, then the
+        slot, of an id's first record delta, masked or not — the order
+        of :meth:`ids` with fully evicted ids left out.  Appending
+        therefore never moves an id that is already stored: a delta
+        onto it merges in place and an unseen id goes last, which is
+        what lets a serving daemon patch its resident pool instead of
+        reloading it (:class:`repro.stream.pool.ResidentPool`).
+
         Trajectories whose records live in a single segment wrap
         read-only memmap slices directly (zero-copy; pages fault in on
         first access).  Ids spanning several segments — appended record
-        deltas not yet compacted — are merged and time-sorted into
-        fresh arrays.
+        deltas not yet compacted — are merged and time-sorted (stably,
+        in segment order) into fresh arrays.
 
         Two deliberate speed choices keep a 100k-trajectory load well
         under a second: each segment's memmaps are re-wrapped as plain
         ndarray views (slicing ``np.memmap`` itself pays a costly
         ``__array_finalize__`` per slice), and ids that occur in only
         one segment — all of them, after a compact — skip the
-        merge-buffer dict entirely.
+        merge-buffer lists entirely.
         """
         segments = self._opened_segments()
         multi: set[str] = set()
@@ -222,11 +230,11 @@ class TrajectoryStore:
             for _info, (_ts, _xs, _ys, _offsets, ids) in segments:
                 for traj_id in ids:
                     (multi if traj_id in seen else seen).add(traj_id)
-        db = TrajectoryDatabase(name=self._manifest.name if name is None else name)
-        add = db.add
         unchecked = Trajectory.from_arrays_unchecked
-        pieces: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        order: list[str] = []
+        # id -> its Trajectory (single-segment ids) or its list of
+        # visible pieces (multi-segment ids, merged below); insertion
+        # order is first-seen order.
+        entries: dict[str, Trajectory | list] = {}
         # Sliding-window eviction: the manifest watermark masks records
         # with t < retain_after at read time.  Per-trajectory slices are
         # time-sorted, so the mask is one searchsorted per slice; whole
@@ -239,22 +247,28 @@ class TrajectoryStore:
                 a, b = bounds[slot], bounds[slot + 1]
                 if cut:
                     a += int(np.searchsorted(ts_v[a:b], cut, side="left"))
-                    if a == b:
-                        continue
                 if traj_id in multi:
-                    parts = pieces.get(traj_id)
-                    if parts is None:
-                        parts = pieces[traj_id] = []
-                        order.append(traj_id)
-                    parts.append((ts_v[a:b], xs_v[a:b], ys_v[a:b]))
-                else:
-                    add(unchecked(ts_v[a:b], xs_v[a:b], ys_v[a:b], traj_id))
-        for traj_id in order:
-            parts = pieces[traj_id]
-            ts = np.concatenate([p[0] for p in parts])
-            xs = np.concatenate([p[1] for p in parts])
-            ys = np.concatenate([p[2] for p in parts])
-            db.add(Trajectory(ts, xs, ys, traj_id, sort=True))
+                    parts = entries.setdefault(traj_id, [])
+                    if a < b:
+                        parts.append((ts_v[a:b], xs_v[a:b], ys_v[a:b]))
+                elif a < b:
+                    entries[traj_id] = unchecked(
+                        ts_v[a:b], xs_v[a:b], ys_v[a:b], traj_id
+                    )
+        db = TrajectoryDatabase(name=self._manifest.name if name is None else name)
+        add = db.add
+        for traj_id, entry in entries.items():
+            if type(entry) is list:
+                if not entry:
+                    continue
+                entry = Trajectory(
+                    np.concatenate([p[0] for p in entry]),
+                    np.concatenate([p[1] for p in entry]),
+                    np.concatenate([p[2] for p in entry]),
+                    traj_id,
+                    sort=True,
+                )
+            add(entry)
         return db
 
     def read_segment(self, dirname: str) -> list[Trajectory]:
@@ -415,10 +429,10 @@ class TrajectoryStore:
         """Rewrite the store as a single merged snapshot segment.
 
         Materialises the merge-on-read view (multi-segment ids become
-        one time-sorted run), swaps the manifest atomically, deletes
-        the superseded segments, and — when a blocking index was
-        present — rebuilds it against the new snapshot so it never goes
-        stale silently.  Safe on an already-compact store (no-op apart
+        one time-sorted run, in :meth:`load`'s first-seen order), swaps
+        the manifest atomically, deletes the superseded segments, and —
+        when a blocking index was present — rebuilds it against the new
+        snapshot so it never goes stale silently.  Safe on an already-compact store (no-op apart
         from a generation bump when segments exist).
         """
         from repro.store.stindex import SpatioTemporalIndex

@@ -5,6 +5,8 @@ serving linker (ROADMAP item 3):
 
 * :mod:`repro.stream.deltas` — append-only ST-index delta blocks, the
   main-index union probe, and the incremental merge.
+* :mod:`repro.stream.pool` — the resident pool, patched in place by
+  flush and eviction deltas so it always equals the store's ``load()``.
 * :mod:`repro.stream.standing` — standing queries with warm top-k
   rankings, incremental re-scoring, and ``/v1/watch`` event buffers.
 * :mod:`repro.stream.runtime` — the flush/evict/merge pipeline a

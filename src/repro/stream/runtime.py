@@ -6,22 +6,22 @@
 background-merge policy.  The service layer calls exactly these hooks:
 
 * :meth:`append_flush` — appends an ingest session's record deltas to
-  the store **and** runs the incremental pipeline (delta block, pool
-  refresh, targeted profile-cache invalidation, standing-query
+  the store **and** runs the incremental pipeline (delta block, the
+  same deltas merged into the resident pool, standing-query
   re-scoring) atomically under the runtime locks, so a concurrent
   flush or eviction can never stamp a delta block with another
   commit's generation.  (:meth:`after_flush` is the low-level form for
   callers that already appended — single-threaded tests and tools.)
 * :meth:`evict_before` — sliding-window eviction.  Raises the store
   watermark, records the eviction in the delta log (keeping the union
-  view's generation coverage contiguous), then refreshes/invalidates/
-  re-scores exactly like a flush.
+  view's generation coverage contiguous), trims the resident pool to
+  the new watermark and re-scores like a flush.
 * :meth:`maybe_merge` — folds the delta log into the main index once
   enough blocks accumulated (the daemon's sweep task calls this off
   the event loop; ``ftl store index --incremental`` is the CLI form).
 
 All hooks run under one re-entrant lock so store appends, log writes,
-pool refreshes and merges never interleave; the hooks additionally
+pool updates and merges never interleave; the hooks additionally
 take the (injectable) engine lock that serialises scoring against the
 daemon's batch thread, always engine lock first, runtime lock second.
 """
@@ -34,6 +34,7 @@ import time
 
 from repro.geo.units import kph_to_mps
 from repro.stream.deltas import DeltaLog, merge_index_deltas
+from repro.stream.pool import ResidentPool
 from repro.stream.standing import StandingQueryRegistry
 
 _LOG = logging.getLogger("ftl.stream")
@@ -43,7 +44,13 @@ DEFAULT_MERGE_MIN_BLOCKS = 4
 
 
 class StreamRuntime:
-    """Continuous-linkage state for one daemon over one store."""
+    """Continuous-linkage state for one daemon over one store.
+
+    ``pool`` is the daemon's resident candidate list as loaded from
+    ``store``; the runtime keeps it equal to ``store.load()`` by
+    applying every flush and eviction to it in place
+    (:class:`~repro.stream.pool.ResidentPool`).
+    """
 
     def __init__(
         self,
@@ -59,7 +66,7 @@ class StreamRuntime:
     ) -> None:
         self._store = store
         self._engine = engine
-        self._pool = pool
+        self._pool = ResidentPool(pool, store.ids())
         self._metrics = metrics
         self._clock = clock
         self._lock = threading.RLock()
@@ -73,7 +80,7 @@ class StreamRuntime:
         self._params = self._resolve_params()
         self.registry = StandingQueryRegistry(
             engine,
-            pool,
+            self._pool,
             options,
             horizon_s=engine.config.horizon_s,
             metrics=metrics,
@@ -141,10 +148,7 @@ class StreamRuntime:
             "index_delta_blocks": float(self.n_delta_blocks()),
         }
 
-    def _refresh(self, changed_ids) -> None:
-        self._pool[:] = list(self._store.load())
-        self._engine.invalidate_profiles(changed_ids)
-        self.registry.refresh_pool_view()
+    def _pool_updated(self) -> None:
         if self._metrics is not None:
             self._metrics.inc("pool_refreshes_total")
 
@@ -187,14 +191,16 @@ class StreamRuntime:
                 # The append committed, so the served state must stay
                 # consistent even though the delta block is missing
                 # (the union view reports the coverage gap as stale and
-                # a rebuild heals it).  Refresh the pool and re-score
-                # the flushed ids conservatively, then keep serving.
+                # a rebuild heals it).  Reload the pool from the store
+                # and re-score the flushed ids conservatively, then
+                # keep serving.
                 _LOG.warning(
                     "stream flush pipeline failed after store append",
                     exc_info=True,
                 )
                 changed = [str(t.traj_id) for t in live]
-                self._refresh(changed)
+                self._pool.reset(self._store.load(), self._store.ids())
+                self._pool_updated()
                 self.registry.apply_update(
                     evicted_ids=changed, started_s=started
                 )
@@ -209,10 +215,9 @@ class StreamRuntime:
         generation that append produced (defaults to the store's
         current one, which is only safe when the caller serialises
         flushes itself — the service layer uses :meth:`append_flush`
-        instead).  Writes the matching delta block, refreshes the pool
-        to the merged view, drops stale cached profiles for exactly
-        the flushed ids, and re-scores affected standing-query pairs.
-        Returns the number of pairs re-scored.
+        instead).  Writes the matching delta block, merges the deltas
+        into the resident pool, and re-scores affected standing-query
+        pairs.  Returns the number of pairs re-scored.
         """
         live = [t for t in deltas if len(t)]
         if not live:
@@ -224,11 +229,12 @@ class StreamRuntime:
             return self._flush_pipeline(live, generation, started)
 
     def _flush_pipeline(self, live, generation: int, started: float) -> int:
-        """Delta block + refresh + re-score; caller holds both locks."""
+        """Delta block + pool merge + re-score; caller holds both locks."""
         block = self.delta_log.append_block(
             live, generation=generation, **self._params
         )
-        self._refresh([str(t.traj_id) for t in live])
+        self._pool.merge(live, self._store.manifest.retain_after)
+        self._pool_updated()
         rescored = self.registry.apply_update(block=block, started_s=started)
         if self._metrics is not None:
             self._metrics.inc("stream_flushes_total")
@@ -242,10 +248,6 @@ class StreamRuntime:
         already covers the cutoff.
         """
         with self._engine_lock, self._lock:
-            affected = [
-                str(t.traj_id) for t in self._pool
-                if len(t) and float(t.ts[0]) < cutoff_t
-            ]
             started = self._clock()
             before = self._store.generation
             evicted = self._store.expire_before(cutoff_t)
@@ -254,7 +256,8 @@ class StreamRuntime:
             self.delta_log.record_eviction(
                 self._store.generation, cutoff_t
             )
-            self._refresh(affected)
+            affected = self._pool.evict(self._store.manifest.retain_after)
+            self._pool_updated()
             self.registry.apply_update(
                 evicted_ids=affected, started_s=started
             )

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from repro.core.engine import Candidate, LinkEngine, LinkOptions, LinkRequest
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
+from repro.stream.pool import ResidentPool
 
 #: Events retained per standing query for `/v1/watch` resume.
 DEFAULT_EVENT_BUFFER = 64
@@ -63,9 +64,11 @@ class StandingQuery:
 class StandingQueryRegistry:
     """Thread-safe registry of standing queries for a serving daemon.
 
-    ``pool`` is the daemon's *live* candidate list (mutated in place by
-    pool refreshes); call :meth:`refresh_pool_view` after each refresh
-    so rankings use current pool order.  ``scorer`` overrides how
+    ``pool`` is the daemon's live :class:`~repro.stream.pool.ResidentPool`
+    (a plain list is wrapped in one); whoever applies a flush or
+    eviction delta to it calls :meth:`apply_update` afterwards.
+    Rankings break score ties by the pool's first-seen ranks, which
+    order the pool list.  ``scorer`` overrides how
     changed pairs are scored — the sharded supervisor routes them to
     the workers owning each candidate — and must return the engine's
     ``Candidate`` objects for exactly the matched subset; ``None``
@@ -84,7 +87,9 @@ class StandingQueryRegistry:
         event_buffer: int = DEFAULT_EVENT_BUFFER,
     ) -> None:
         self._engine = engine
-        self._pool = pool
+        self._pool = (
+            pool if isinstance(pool, ResidentPool) else ResidentPool(pool)
+        )
         self._options = options
         self._horizon_s = float(horizon_s)
         self._metrics = metrics
@@ -95,23 +100,6 @@ class StandingQueryRegistry:
         self._cond = threading.Condition(self._lock)
         self._closed = False
         self._queries: dict[str, StandingQuery] = {}
-        self._pool_by_id: dict[str, Trajectory] = {}
-        self._pool_index: dict[str, int] = {}
-        self._rebuild_pool_view()
-
-    # ------------------------------------------------------------------
-    # Pool view
-    # ------------------------------------------------------------------
-    def _rebuild_pool_view(self) -> None:
-        self._pool_by_id = {str(t.traj_id): t for t in self._pool}
-        self._pool_index = {
-            str(t.traj_id): i for i, t in enumerate(self._pool)
-        }
-
-    def refresh_pool_view(self) -> None:
-        """Re-snapshot pool order after the daemon refreshed its pool."""
-        with self._lock:
-            self._rebuild_pool_view()
 
     def swap_engine(self, engine: LinkEngine) -> None:
         """Rebind the scoring engine (model hot-swap; no scoring in flight)."""
@@ -156,15 +144,11 @@ class StandingQueryRegistry:
 
         Candidates that fell out of the pool entirely (full eviction)
         are dropped lazily here; the sort key mirrors the engine's
-        stable ``-score`` sort over pool order.
+        stable ``-score`` sort over pool order (first-seen rank).
         """
-        live = [
-            c for c in q.scored.values()
-            if str(c.candidate_id) in self._pool_index
-        ]
-        live.sort(
-            key=lambda c: (-c.score, self._pool_index[str(c.candidate_id)])
-        )
+        by_id, rank = self._pool.by_id, self._pool.rank
+        live = [c for c in q.scored.values() if str(c.candidate_id) in by_id]
+        live.sort(key=lambda c: (-c.score, rank[str(c.candidate_id)]))
         if q.options.top_k is not None:
             live = live[: q.options.top_k]
         return live
@@ -216,7 +200,7 @@ class StandingQueryRegistry:
         full_opts = opts.with_updates(top_k=None)
         result = self._engine.link_requests(
             [LinkRequest(trajectory, options=full_opts)],
-            default_pool=self._pool,
+            default_pool=self._pool.trajectories,
         )[0]
         with self._lock:
             q = StandingQuery(
@@ -232,7 +216,7 @@ class StandingQueryRegistry:
             self._queries[qid] = q
             if self._metrics is not None:
                 self._metrics.inc(
-                    "standing_full_pairs_total", len(self._pool)
+                    "standing_full_pairs_total", len(self._pool.trajectories)
                 )
             event = {
                 "seq": q.seq,
@@ -278,12 +262,12 @@ class StandingQueryRegistry:
         query's evidence — spatial screening is deliberately absent,
         see ``SpatioTemporalIndex.affected_ids``); ``evicted_ids`` are
         pool ids that lost records to the sliding window.  Must be
-        called *after* the pool refresh and profile-cache invalidation.
+        called *after* the same delta was applied to the pool.
         Returns the total pairs re-scored across all standing queries.
         """
         total = 0
         with self._lock:
-            self._rebuild_pool_view()
+            by_id = self._pool.by_id
             for q in self._queries.values():
                 changed: dict[str, None] = {}
                 if block is not None:
@@ -295,18 +279,14 @@ class StandingQueryRegistry:
                     changed.setdefault(str(cid), None)
                 if not changed:
                     continue
-                rescore = [
-                    cid for cid in changed if cid in self._pool_by_id
-                ]
-                vanished = [
-                    cid for cid in changed if cid not in self._pool_by_id
-                ]
+                rescore = [cid for cid in changed if cid in by_id]
+                vanished = [cid for cid in changed if cid not in by_id]
                 fresh: list[Candidate] = []
                 if rescore:
-                    trajs = [self._pool_by_id[cid] for cid in rescore]
+                    trajs = [by_id[cid] for cid in rescore]
                     if self._scorer is not None:
                         fresh = self._scorer(
-                            q.trajectory, trajs, q.full_options, rescore
+                            q.trajectory, trajs, q.full_options
                         )
                     else:
                         fresh = list(self._engine.link_requests(

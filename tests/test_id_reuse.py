@@ -5,7 +5,8 @@ records under one id: a query, or a candidate shipped in the request.
 Each case links the original first (warming every profile cache on the
 path), then the reused id, and checks the second answer against a
 fresh engine that never saw the original.  Run on the library, a
-1-process daemon and a 2-worker daemon.
+1-process daemon and a 2-worker daemon; a library caller's own pool
+list (``LinkEngine.link``/``link_batch``) is checked the same way.
 """
 
 import numpy as np
@@ -86,6 +87,33 @@ class TestIdReuse:
         reused = [pool[8].with_id(pool[0].traj_id)] + shipped[1:]
         original = link(query, candidates=shipped)
         got = link(query, candidates=reused)
+        expected = fresh_link(models, query, reused)
+        assert expected != original
+        assert got == expected
+
+
+class TestCallerPoolIdReuse:
+    """``LinkEngine.link``/``link_batch`` over caller-supplied pools.
+
+    A library caller passes a new candidate list on every call, so a
+    reused id there must be treated like one shipped with a request.
+    """
+
+    @pytest.mark.parametrize("call", ["link", "link_batch"])
+    def test_candidate_id_reuse_matches_fresh_engine(
+        self, call, scenario, pool, models
+    ):
+        engine = LinkEngine(*models, options=RANKING)
+        query = list(scenario.p_db)[0]
+
+        def run(candidates):
+            if call == "link":
+                return engine.link(query, candidates)
+            return engine.link_batch([query], candidates)[0]
+
+        reused = [pool[8].with_id(pool[0].traj_id)] + pool[1:8]
+        original = run(pool[:8])
+        got = run(reused)
         expected = fresh_link(models, query, reused)
         assert expected != original
         assert got == expected

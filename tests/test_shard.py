@@ -467,7 +467,8 @@ class TestPlanDriftDetection:
         cutoff = min(float(t.ts[0]) for t in state.pool) + 1e-6
         assert all(float(t.ts[-1]) >= cutoff for t in state.pool)
         assert store.expire_before(cutoff) >= 1
-        state.refresh_pool()
+        state.pool[:] = list(state.store.load())
+        state.metrics.inc("pool_refreshes_total")
         assert [t.traj_id for t in state.pool] == sup._pool_ids
         assert sup.plan_drift() is True
         assert state.metrics.counter("shard_plan_drift_total") == 1

@@ -160,6 +160,39 @@ class TestAppendCompact:
         assert index.vmax_kph == 80.0
         assert len(index) == len(db)
 
+    def test_load_order_is_first_seen_across_appends_and_compact(
+        self, db, tmp_path
+    ):
+        """Ids keep the position of their first delta: a delta onto a
+        stored id never moves it, unseen ids go last, an id whose first
+        records are evicted keeps its place, and compact keeps it all."""
+        store = build_store(tmp_path / "s", db)
+        first = [str(i) for i in db.ids()]
+        store.append([
+            Trajectory([1.0], [2.0], [3.0], "n1"),
+            Trajectory([4.0], [5.0], [6.0], "t3"),
+        ])
+        store.append([
+            Trajectory([7.0], [8.0], [9.0], "t0"),
+            Trajectory([5e4 + 1.0], [1.0], [1.0], "n2"),
+            Trajectory([5e4 + 2.0], [1.0], [1.0], "n1"),
+        ])
+        expected = first + ["n1", "n2"]
+        assert [str(t.traj_id) for t in store.load()] == expected
+        assert store.ids() == expected
+        # Every record of the fixture and of the first append ages out.
+        # n1 still comes first: it was first seen a segment before n2,
+        # although its surviving records sit after n2's in the last one.
+        assert all(float(t.ts[-1]) < 5e4 for t in db)
+        store.expire_before(5e4)
+        survivors = ["n1", "n2"]
+        assert [str(t.traj_id) for t in store.load()] == survivors
+        before = store.load()
+        store.compact()
+        after = store.load()
+        assert [str(t.traj_id) for t in after] == survivors
+        assert_dbs_identical(before, after)
+
 
 class TestCrashSafety:
     def test_interrupted_append_keeps_last_snapshot(self, db, tmp_path,

@@ -1,7 +1,8 @@
 """Continuous streaming linkage: delta log, union probe, standing queries.
 
-Three contracts pin the subsystem (module docstrings of
-:mod:`repro.stream.deltas` and :mod:`repro.stream.standing`):
+Four contracts pin the subsystem (module docstrings of
+:mod:`repro.stream.deltas`, :mod:`repro.stream.pool` and
+:mod:`repro.stream.standing`):
 
 * the :class:`StreamIndexView` union probe preserves the main index's
   property-tested superset contract across any interleaving of flushed
@@ -9,12 +10,15 @@ Three contracts pin the subsystem (module docstrings of
 * :func:`merge_index_deltas` folds the log into a main index that
   never drops an id a full rebuild would keep, and leaves the log
   empty at the store's current generation;
+* the resident pool, patched in place by every flush and eviction,
+  equals a fresh ``TrajectoryStore.load()`` bit for bit after each;
 * standing-query rankings are **bit-identical** to a from-scratch
   engine run over the same pool state at every point of an
   ingest/evict sequence, while re-scoring strictly fewer pairs than a
   full recompute.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -411,8 +415,174 @@ class TestAppendFlushAtomicity:
 
 
 # ----------------------------------------------------------------------
-# Standing queries: the bit-identity invariant
+# The resident pool: patched in place, always equal to a fresh load()
 # ----------------------------------------------------------------------
+_POOL_IDS = [f"c{i}" for i in range(5)] + ["n0", "n1", "n2"]
+_DELTA = st.tuples(
+    st.sampled_from(_POOL_IDS), st.integers(1, 4), st.floats(0.0, 1.0)
+)
+_STEP = st.one_of(
+    st.tuples(
+        st.just("flush"),
+        st.lists(_DELTA, min_size=1, max_size=4, unique_by=lambda d: d[0]),
+    ),
+    st.tuples(st.just("evict"), st.floats(0.0, 1.0)),
+)
+
+
+def _assert_pool_is_load(pool, store, where):
+    loaded = list(store.load())
+    assert [t.traj_id for t in pool] == [t.traj_id for t in loaded], where
+    for got, want in zip(pool, loaded):
+        for col in ("ts", "xs", "ys"):
+            a, b = getattr(got, col), getattr(want, col)
+            assert a.dtype == b.dtype, (where, got.traj_id, col)
+            assert a.tobytes() == b.tobytes(), (where, got.traj_id, col)
+
+
+class TestResidentPoolMatchesLoad:
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_STEP, min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_pool_is_bit_identical_to_load_after_every_step(
+        self, tmp_path_factory, fitted_models, steps, seed
+    ):
+        """Random flush/evict schedules: reused ids (also after their
+        full eviction), records behind the watermark, whole-trajectory
+        eviction, new ids, and timestamps tied across deltas (rounded
+        to 50 s) so the stable merge order is exercised."""
+        mr, ma = fitted_models
+        rng = np.random.default_rng(seed)
+        root = tmp_path_factory.mktemp("pool")
+        db = TrajectoryDatabase(name="pool-prop")
+        for i in range(5):
+            traj = _random_traj(rng, int(rng.integers(1, 6)), f"c{i}")
+            db.add(Trajectory(np.round(traj.ts / 50.0) * 50.0, traj.xs,
+                              traj.ys, traj.traj_id, sort=True))
+        store = TrajectoryStore.create(root / "s", db)
+        pool = list(store.load())
+        runtime = StreamRuntime(
+            store, LinkEngine(mr, ma, options=RANKING), pool, RANKING
+        )
+        for step, (kind, arg) in enumerate(steps):
+            watermark = store.manifest.retain_after
+            if kind == "flush":
+                deltas = []
+                for traj_id, n, where in arg:
+                    lo = watermark - 300.0 + where * 2_000.0
+                    ts = np.round(rng.uniform(lo, lo + 400.0, n) / 50.0) * 50.0
+                    deltas.append(Trajectory(
+                        np.sort(ts), rng.uniform(-1e4, 1e4, n),
+                        rng.uniform(-1e4, 1e4, n), traj_id,
+                    ))
+                runtime.append_flush(deltas)
+            else:
+                runtime.evict_before(watermark + arg * 1_500.0)
+            _assert_pool_is_load(pool, store, f"step {step}: {kind}")
+
+    def test_watch_readers_race_pool_updates(
+        self, tmp_path, fitted_models, small_pair
+    ):
+        """Snapshots read the pool's views without the runtime lock
+        while flushes and evictions patch them; more readers than cores
+        and a short switch interval must surface no error, and the end
+        state must still match a fresh load and a fresh link."""
+        mr, ma = fitted_models
+        ids = sorted(str(t.traj_id) for t in small_pair.q_db)[:6]
+        store = TrajectoryStore.create(
+            tmp_path / "s", [small_pair.q_db[i] for i in ids]
+        )
+        pool = list(store.load())
+        runtime = StreamRuntime(
+            store, LinkEngine(mr, ma, options=RANKING), pool, RANKING
+        )
+        query = small_pair.p_db[sorted(small_pair.truth)[0]]
+        runtime.register_query(query, query_id="q")
+        t_lo = min(float(t.ts[0]) for t in pool)
+        t_hi = max(float(t.ts[-1]) for t in pool)
+        rng = np.random.default_rng(7)
+        stop = threading.Event()
+        errors: list[Exception] = []
+
+        def reader():
+            while not stop.is_set():
+                try:
+                    runtime.registry.snapshot("q")
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+                    return
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for step in range(12):
+                if step % 4 == 3:
+                    runtime.evict_before(
+                        t_lo + (step + 1) * (t_hi - t_lo) / 40.0
+                    )
+                    continue
+                target = ids[step % len(ids)] if step % 2 else f"new{step}"
+                runtime.append_flush([
+                    _random_traj(rng, 3, target, t_lo=t_lo, t_hi=t_hi)
+                ])
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        _assert_pool_is_load(pool, store, "after the race")
+        assert runtime.registry.snapshot("q")["ranking"] == _fresh_ranking(
+            fitted_models, query, RANKING, list(store.load())
+        )
+
+    def test_failed_pipeline_reloads_pool_from_store(
+        self, tmp_path, fitted_models, small_pair, monkeypatch
+    ):
+        """A flush whose pipeline fails after the append committed
+        reloads the pool from the store, and later deltas apply on top
+        of the reloaded pool."""
+        mr, ma = fitted_models
+        ids = sorted(str(t.traj_id) for t in small_pair.q_db)[:6]
+        store = TrajectoryStore.create(
+            tmp_path / "s", [small_pair.q_db[i] for i in ids]
+        )
+        pool = list(store.load())
+        metrics = Metrics()
+        runtime = StreamRuntime(
+            store, LinkEngine(mr, ma, options=RANKING), pool, RANKING,
+            metrics=metrics,
+        )
+        query = small_pair.p_db[sorted(small_pair.truth)[0]]
+        runtime.register_query(query, query_id="q")
+        t0 = float(query.ts[0])
+
+        def delta(traj_id, dt):
+            return Trajectory([t0 + dt, t0 + dt + 60.0], [0.0, 5.0],
+                              [0.0, 5.0], traj_id)
+
+        def broken(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(runtime.delta_log, "append_block", broken)
+        flushed, _segment = runtime.append_flush(
+            [delta(ids[0], 0.0), delta("fresh", 30.0)]
+        )
+        assert flushed == 4
+        assert metrics.counter("stream_flush_pipeline_errors_total") == 1
+        _assert_pool_is_load(pool, store, "after the failed pipeline")
+        monkeypatch.undo()
+        runtime.append_flush([delta("fresh", 90.0), delta("later", 0.0)])
+        _assert_pool_is_load(pool, store, "after the next flush")
+        assert runtime.registry.snapshot("q")["ranking"] == _fresh_ranking(
+            fitted_models, query, RANKING, list(store.load())
+        )
+
+
 def _fresh_ranking(fitted_models, query, options, pool):
     """A from-scratch engine run (no warm caches) in wire form."""
     mr, ma = fitted_models
