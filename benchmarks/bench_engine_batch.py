@@ -45,10 +45,8 @@ from repro.core.alignment import (
     mutual_segment_profile,
 )
 from repro.core.engine import Candidate, LinkEngine, LinkOptions, LinkResult
-from repro.core.filtering import AlphaFilter
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
+from repro.core.hypothesis import acceptance_pvalue, log_likelihood, rejection_pvalue
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.geo.units import days_to_seconds
 from repro.synth.city import CityModel
 from repro.synth.noise import GaussianNoise
@@ -76,15 +74,29 @@ def _merge_into(out_path: str | Path, updates: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _seed_link_loop(query, pool, mr, ma, options: LinkOptions) -> LinkResult:
-    """The seed per-candidate path: decide per pair, then re-score matches."""
-    config = mr.config
+def _seed_decides(query, candidate, mr, ma, options: LinkOptions) -> bool:
+    """One pair's decision from its own fresh profile, on the oracle."""
+    profile = mutual_segment_profile(query, candidate, mr.config)
     if options.method == "alpha-filter":
-        matcher = AlphaFilter(mr, ma, options.alpha1, options.alpha2)
-        matched = [c for c in pool if matcher.decide(query, c).accepted]
-    else:
-        matcher = NaiveBayesMatcher(mr, ma, options.phi_r)
-        matched = [c for c in pool if matcher.decide(query, c).same_person]
+        return (
+            rejection_pvalue(profile, mr) >= options.alpha1
+            and acceptance_pvalue(profile, ma) < options.alpha2
+        )
+    ratio = (math.log(options.phi_r) + log_likelihood(profile, mr)) - (
+        math.log(options.phi_a) + log_likelihood(profile, ma)
+    )
+    return ratio >= 0.0
+
+
+def _seed_link_loop(query, pool, mr, ma, options: LinkOptions) -> LinkResult:
+    """The seed per-candidate path: decide per pair, then re-score matches.
+
+    Built only on the per-pair reference functions of
+    :mod:`repro.core.hypothesis`, so the bit-identity check compares the
+    engine with an independent oracle.
+    """
+    config = mr.config
+    matched = [c for c in pool if _seed_decides(query, c, mr, ma, options)]
     scored = []
     for candidate in matched:
         profile = mutual_segment_profile(query, candidate, config)

@@ -34,8 +34,8 @@ from repro.obs import span
 #: Score-all edge semantics: alpha1=0 admits every pair to phase 2 and
 #: alpha2=1 only drops p2 == 1 pairs, whose Eq. 2 score is exactly 0 —
 #: below any ``min_score >= 0`` threshold anyway.  With these options
-#: the graph's edges are the Eq. 2 scores of
-#: :func:`repro.core.ranking.rank_candidates` over every pair; the
+#: the graph's edges are the :class:`~repro.core.engine.LinkEngine`
+#: Eq. 2 scores of every pair; the
 #: subsystem's entry points default to them so the solver sees every
 #: positive-score edge and decides globally.  Pass an explicit
 #: ``options`` to restrict edges to decision-passing pairs instead.

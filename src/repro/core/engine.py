@@ -249,6 +249,49 @@ class LinkResult:
         }
 
 
+@dataclass(frozen=True)
+class QueryEvidence:
+    """Every candidate's evidence for one query, before any threshold.
+
+    Entry ``i`` of each array refers to ``candidate_ids[i]``; parameter
+    sweeps reduce to thresholding these arrays (the ``*_mask`` methods).
+    """
+
+    query_id: object
+    candidate_ids: tuple[object, ...]
+    p1: np.ndarray
+    p2: np.ndarray
+    ll_rejection: np.ndarray
+    ll_acceptance: np.ndarray
+    n_mutual: np.ndarray
+    n_incompatible: np.ndarray
+
+    @property
+    def llr(self) -> np.ndarray:
+        """The prior-free log-likelihood ratio ``log L(Mr) - log L(Ma)``."""
+        return self.ll_rejection - self.ll_acceptance
+
+    def alpha_filter_mask(self, alpha1: float, alpha2: float) -> np.ndarray:
+        """Accepted-candidate mask under (alpha1, alpha2)-filtering."""
+        return (self.p1 >= alpha1) & (self.p2 < alpha2)
+
+    def naive_bayes_mask(self, phi_r: float) -> np.ndarray:
+        """Same-person mask under Naive-Bayes with prior ``phi_r``."""
+        if not 0.0 < phi_r < 1.0:
+            raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
+        threshold = math.log(1.0 - phi_r) - math.log(phi_r)
+        return self.llr >= threshold
+
+    def scores(self) -> np.ndarray:
+        """Eq. 2 ranking scores ``v = p1 * (1 - p2)`` per candidate."""
+        return self.p1 * (1.0 - self.p2)
+
+
+def _log_posterior_ratio(ll_r, ll_a, phi_r: float):
+    """``log(phi_r L(Mr)) - log(phi_a L(Ma))``; Naive-Bayes matches at ``>= 0``."""
+    return (math.log(phi_r) + ll_r) - (math.log(1.0 - phi_r) + ll_a)
+
+
 # ----------------------------------------------------------------------
 # Profile cache
 # ----------------------------------------------------------------------
@@ -546,25 +589,8 @@ class LinkEngine:
         ``link()`` calls, but each pair's profile is computed at most
         once and the pool's evidence is evaluated in flat arrays.
         """
-        opts = self._options if options is None else options
-        if not isinstance(opts, LinkOptions):
-            raise ValidationError(
-                f"options must be a LinkOptions, got {type(opts).__name__}"
-            )
-        with span("blocking"):
-            pool = candidates if isinstance(candidates, list) else list(candidates)
-        flat = self._flatten(pool)
-        results = []
-        for query in queries:
-            if opts.prefilter is None:
-                kept = pool
-                kept_flat = flat
-            else:
-                with span("prefilter"):
-                    kept = [c for c in pool if opts.prefilter.keep(query, c)]
-                kept_flat = None
-            results.append(self._link_one(query, kept, opts, kept_flat))
-        return results
+        requests = [LinkRequest(query) for query in queries]
+        return self.link_requests(requests, candidates, options)
 
     def link_requests(
         self,
@@ -607,15 +633,13 @@ class LinkEngine:
                     f"requests must be LinkRequest, got {type(request).__name__}"
                 )
             if request.candidates is not None:
-                cands: Sequence[Trajectory] = request.candidates
-                cands_flat = None
+                cands, cands_flat = request.candidates, None
             else:
+                if default_pool is None:
+                    raise ValidationError(
+                        "request has no candidates and no default_pool was provided"
+                    )
                 if pool is None:
-                    if default_pool is None:
-                        raise ValidationError(
-                            "request has no candidates and no default_pool "
-                            "was provided"
-                        )
                     with span("blocking"):
                         pool = (
                             default_pool
@@ -623,22 +647,36 @@ class LinkEngine:
                             else list(default_pool)
                         )
                     pool_flat = self._flatten(pool)
-                cands = pool
-                cands_flat = pool_flat
+                cands, cands_flat = pool, pool_flat
             opts = request.options if request.options is not None else call_opts
-            if opts.prefilter is None:
-                kept = cands
-                kept_flat = cands_flat
-            else:
+            if opts.prefilter is not None:
                 with span("prefilter"):
-                    kept = [
-                        c for c in cands if opts.prefilter.keep(request.query, c)
-                    ]
-                kept_flat = None
-            results.append(
-                self._link_one(request.query, kept, opts, kept_flat)
-            )
+                    cands = [c for c in cands if opts.prefilter.keep(request.query, c)]
+                cands_flat = None
+            results.append(self._link_one(request.query, cands, opts, cands_flat))
         return results
+
+    def evidence(
+        self, queries: Sequence[Trajectory], candidates: Iterable[Trajectory]
+    ) -> list[QueryEvidence]:
+        """Every query's evidence against every candidate, in pool order.
+
+        No decision is taken: both tails and both log-likelihoods are
+        evaluated for every pair, so callers can sweep thresholds over
+        one extraction.  Each value is bit-identical to the per-pair
+        reference functions of :mod:`repro.core.hypothesis`.
+        """
+        pool = candidates if isinstance(candidates, list) else list(candidates)
+        flat = self._flatten(pool)
+        ids = tuple(c.traj_id for c in pool)
+        return [
+            self._profile_evidence(
+                self._cache.get_many(query, pool, self.config, self._kernel, flat),
+                ids,
+                query.traj_id,
+            )
+            for query in queries
+        ]
 
     # ------------------------------------------------------------------
     # Internals
@@ -649,6 +687,29 @@ class LinkEngine:
             return None
         return FlatPool(pool)
 
+    def _profile_evidence(
+        self,
+        profiles: Sequence[MutualSegmentProfile],
+        candidate_ids: Sequence[object],
+        query_id: object = None,
+    ) -> QueryEvidence:
+        """The :class:`QueryEvidence` of already-computed pair profiles."""
+        ev = _PoolEvidence(profiles, self._mr.n_buckets)
+        everyone = range(ev.n)
+        p1 = self._tails("r", ev, self._table_r[ev.buckets], everyone)
+        p2 = self._tails("a", ev, self._table_a[ev.buckets], everyone)
+        ll_r, ll_a = self._log_likelihoods(ev)
+        return QueryEvidence(
+            query_id=query_id,
+            candidate_ids=tuple(candidate_ids),
+            p1=np.array(p1, dtype=np.float64),
+            p2=np.array(p2, dtype=np.float64),
+            ll_rejection=ll_r,
+            ll_acceptance=ll_a,
+            n_mutual=ev.n_mutual,
+            n_incompatible=ev.n_incompatible,
+        )
+
     def _link_one(
         self,
         query: Trajectory,
@@ -656,10 +717,9 @@ class LinkEngine:
         opts: LinkOptions,
         flat: FlatPool | None = None,
     ) -> LinkResult:
-        config = self.config
         with span("profile"):
             profiles = self._cache.get_many(
-                query, pool, config, self._kernel, flat
+                query, pool, self.config, self._kernel, flat
             )
             ev = _PoolEvidence(profiles, self._mr.n_buckets)
             # Feed the context-bound drift sink (no-op when none): the
@@ -703,54 +763,46 @@ class LinkEngine:
         """
         ps_r = self._table_r[ev.buckets]
         ps_a = self._table_a[ev.buckets]
-        p1 = np.asarray(self._tails("r", ev, ps_r, range(ev.n)))
-        survivors = np.nonzero(p1 >= opts.alpha1)[0]
-        p2_s = self._tails("a", ev, ps_a, survivors)
-        matched: list[int] = []
-        p1_m: list[float] = []
-        p2_m: list[float] = []
-        for i, p2 in zip(survivors, p2_s):
-            if p2 < opts.alpha2:
-                matched.append(int(i))
-                p1_m.append(p1[i])
-                p2_m.append(p2)
-        return matched, np.asarray(p1_m), np.asarray(p2_m)
+        p1 = np.asarray(self._tails("r", ev, ps_r, range(ev.n)), dtype=np.float64)
+        survivors = np.flatnonzero(p1 >= opts.alpha1)
+        p2_s = np.asarray(self._tails("a", ev, ps_a, survivors), dtype=np.float64)
+        accepted = p2_s < opts.alpha2
+        matched = survivors[accepted]
+        return matched.tolist(), p1[matched], p2_s[accepted]
 
     def _naive_bayes(
         self, ev: _PoolEvidence, opts: LinkOptions
     ) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """NB posterior comparison over the pool from the flat evidence.
+        """NB posterior comparison over the pool; tails only for matches."""
+        ll_r, ll_a = self._log_likelihoods(ev)
+        ratio = _log_posterior_ratio(ll_r, ll_a, opts.phi_r)
+        matched = np.flatnonzero(ratio >= 0.0).tolist()
+        p1_m = self._tails("r", ev, self._table_r[ev.buckets], matched)
+        p2_m = self._tails("a", ev, self._table_a[ev.buckets], matched)
+        return matched, np.asarray(p1_m), np.asarray(p2_m)
+
+    def _log_likelihoods(self, ev: _PoolEvidence) -> tuple[np.ndarray, np.ndarray]:
+        """Per-candidate log-likelihoods under ``Mr`` and ``Ma``.
 
         The per-segment log terms are gathered from the engine's
         pre-quantised per-bucket log tables (clipped and logged once at
         construction — elementwise identical to clipping/logging the
-        gathered probabilities per pool); each candidate's
-        log-likelihood then sums its own compressed slice in segment
-        order, reproducing the per-pair ``_log_likelihood`` bit for bit.
+        gathered probabilities per pool); each candidate then sums its
+        own compressed slice in segment order, reproducing
+        :func:`~repro.core.hypothesis.log_likelihood_arrays` bit for bit.
         """
-        ps_r = self._table_r[ev.buckets]
-        ps_a = self._table_a[ev.buckets]
         log_r, log1m_r = self._log_r[ev.buckets], self._log1m_r[ev.buckets]
         log_a, log1m_a = self._log_a[ev.buckets], self._log1m_a[ev.buckets]
-        log_phi_r = math.log(opts.phi_r)
-        log_phi_a = math.log(opts.phi_a)
-
-        matched: list[int] = []
+        ll_r = np.empty(ev.n)
+        ll_a = np.empty(ev.n)
+        bounds = ev.offsets.tolist()
         for i in range(ev.n):
-            inc = ev.slice(ev.incompatible, i)
+            lo, hi = bounds[i], bounds[i + 1]
+            inc = ev.incompatible[lo:hi]
             com = ~inc
-            ll_r = float(
-                ev.slice(log_r, i)[inc].sum() + ev.slice(log1m_r, i)[com].sum()
-            )
-            ll_a = float(
-                ev.slice(log_a, i)[inc].sum() + ev.slice(log1m_a, i)[com].sum()
-            )
-            ratio = (log_phi_r + ll_r) - (log_phi_a + ll_a)
-            if ratio >= 0.0:
-                matched.append(i)
-        p1_m = self._tails("r", ev, ps_r, matched)
-        p2_m = self._tails("a", ev, ps_a, matched)
-        return matched, np.asarray(p1_m), np.asarray(p2_m)
+            ll_r[i] = log_r[lo:hi][inc].sum() + log1m_r[lo:hi][com].sum()
+            ll_a[i] = log_a[lo:hi][inc].sum() + log1m_a[lo:hi][com].sum()
+        return ll_r, ll_a
 
     def _tails(
         self,

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.alignment import MutualSegmentProfile, mutual_segment_profile
+from repro.core.alignment import MutualSegmentProfile
 from repro.core.database import TrajectoryDatabase
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
-from repro.core.models import CompatibilityModel, require_fitted_pair
+from repro.core.engine import LinkEngine, LinkOptions, QueryEvidence
+from repro.core.models import CompatibilityModel
 from repro.core.trajectory import Trajectory
-from repro.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,9 @@ class FilterDecision:
 class AlphaFilter:
     """(alpha1, alpha2)-filtering matcher bound to a fitted model pair.
 
+    A per-pair view of a :class:`~repro.core.engine.LinkEngine`: every
+    decision reads the engine's evidence.
+
     Parameters
     ----------
     rejection_model, acceptance_model:
@@ -80,50 +82,29 @@ class AlphaFilter:
         alpha1: float = 0.05,
         alpha2: float = 0.05,
     ) -> None:
-        self._mr, self._ma = require_fitted_pair(rejection_model, acceptance_model)
-        if not 0.0 <= alpha1 <= 1.0:
-            raise ValidationError(f"alpha1 must be in [0, 1], got {alpha1}")
-        if not 0.0 <= alpha2 <= 1.0:
-            raise ValidationError(f"alpha2 must be in [0, 1], got {alpha2}")
-        self._alpha1 = float(alpha1)
-        self._alpha2 = float(alpha2)
+        options = LinkOptions(
+            method="alpha-filter", alpha1=float(alpha1), alpha2=float(alpha2)
+        )
+        self._engine = LinkEngine(rejection_model, acceptance_model, options)
 
     @property
     def alpha1(self) -> float:
-        return self._alpha1
+        return self._engine.options.alpha1
 
     @property
     def alpha2(self) -> float:
-        return self._alpha2
+        return self._engine.options.alpha2
 
     @property
     def config(self):
-        return self._mr.config
+        return self._engine.config
 
     def decide_profile(
         self, profile: MutualSegmentProfile, candidate_id: object = None
     ) -> FilterDecision:
         """Run both phases on a pre-computed mutual-segment profile."""
-        within = profile.within_horizon(self._mr.n_buckets)
-        p1 = rejection_pvalue(profile, self._mr)
-        if p1 < self._alpha1:
-            return FilterDecision(
-                candidate_id=candidate_id,
-                p_rejection=p1,
-                p_acceptance=None,
-                accepted=False,
-                n_mutual=within.n_total,
-                n_incompatible=within.n_incompatible,
-            )
-        p2 = acceptance_pvalue(profile, self._ma)
-        return FilterDecision(
-            candidate_id=candidate_id,
-            p_rejection=p1,
-            p_acceptance=p2,
-            accepted=p2 < self._alpha2,
-            n_mutual=within.n_total,
-            n_incompatible=within.n_incompatible,
-        )
+        evidence = self._engine._profile_evidence([profile], (candidate_id,))
+        return self._decisions(evidence)[0]
 
     def decide(
         self,
@@ -134,12 +115,11 @@ class AlphaFilter:
         """Run both phases on one (query, candidate) trajectory pair.
 
         Pass ``profile`` when the pair's mutual-segment profile is
-        already known (e.g. from a :class:`~repro.core.engine.ProfileCache`)
-        so the pair is not aligned a second time.
+        already known so the pair is not aligned a second time.
         """
-        if profile is None:
-            profile = mutual_segment_profile(query, candidate, self.config)
-        return self.decide_profile(profile, candidate_id=candidate.traj_id)
+        if profile is not None:
+            return self.decide_profile(profile, candidate_id=candidate.traj_id)
+        return self._decisions(self._engine.evidence([query], [candidate])[0])[0]
 
     def query(
         self,
@@ -152,9 +132,27 @@ class AlphaFilter:
         database order; use :meth:`decide` for per-pair diagnostics on
         rejected candidates.
         """
-        accepted: list[FilterDecision] = []
-        for candidate in candidates:
-            decision = self.decide(query, candidate)
-            if decision.accepted:
-                accepted.append(decision)
-        return accepted
+        evidence = self._engine.evidence([query], candidates)[0]
+        return [d for d in self._decisions(evidence) if d.accepted]
+
+    def _decisions(self, evidence: QueryEvidence) -> list[FilterDecision]:
+        alpha1, alpha2 = self.alpha1, self.alpha2
+        accepted = evidence.alpha_filter_mask(alpha1, alpha2)
+        return [
+            FilterDecision(
+                candidate_id=cid,
+                p_rejection=float(p1),
+                p_acceptance=None if p1 < alpha1 else float(p2),
+                accepted=bool(ok),
+                n_mutual=int(n),
+                n_incompatible=int(k),
+            )
+            for cid, p1, p2, ok, n, k in zip(
+                evidence.candidate_ids,
+                evidence.p1,
+                evidence.p2,
+                accepted,
+                evidence.n_mutual,
+                evidence.n_incompatible,
+            )
+        ]

@@ -1,4 +1,4 @@
-"""Hypothesis-testing p-values for the (alpha1, alpha2)-filtering scheme.
+"""Per-pair reference statistics: the p-values and NB log-likelihoods.
 
 Under either model, the number ``K`` of incompatible mutual segments in
 an aligned pair follows a Poisson-Binomial law parameterised by the
@@ -22,6 +22,11 @@ Mutual segments at or beyond the model horizon are excluded: both
 models give them incompatibility probability 0, so they carry no
 information (they are almost surely compatible in the data as well
 whenever ``horizon >= city diameter / Vmax``).
+
+The per-profile functions here are the reference oracle: the batch
+:class:`~repro.core.engine.LinkEngine` computes the same values for a
+whole candidate pool, and the tests compare it against these bit for
+bit.
 """
 
 from __future__ import annotations
@@ -127,6 +132,29 @@ def acceptance_pvalue_batch(
         else:
             out.append(float(min(pmf[: k + 1].sum(), 1.0)))
     return out
+
+
+def log_likelihood_arrays(
+    ps: np.ndarray, incompatible: np.ndarray, floor: float
+) -> float:
+    """``sum_i log(p_i)`` over incompatible plus ``log(1-p_i)`` over compatible.
+
+    Probabilities are clamped to ``[floor, 1 - floor]`` so that
+    zero-probability buckets never produce ``-inf``.
+    """
+    clamped = np.clip(ps, floor, 1.0 - floor)
+    return float(
+        np.log(clamped[incompatible]).sum()
+        + np.log1p(-clamped[~incompatible]).sum()
+    )
+
+
+def log_likelihood(profile: MutualSegmentProfile, model: CompatibilityModel) -> float:
+    """Log-likelihood of a pair's in-horizon observation under ``model``."""
+    within = profile.within_horizon(model.n_buckets)
+    return log_likelihood_arrays(
+        model.probs_for(within.buckets), within.incompatible, model.config.prob_floor
+    )
 
 
 def rejection_pvalue(

@@ -13,22 +13,25 @@ loosens candidate selection (paper Section IV-E's discussion).
 
 All likelihoods are computed in log space with probability clamping to
 ``[prob_floor, 1 - prob_floor]`` so that zero-probability buckets (e.g.
-beyond-horizon segments) never produce ``-inf``.
+beyond-horizon segments) never produce ``-inf``; the per-pair reference
+is :func:`repro.core.hypothesis.log_likelihood`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from repro.core.alignment import MutualSegmentProfile, mutual_segment_profile
+from repro.core.alignment import MutualSegmentProfile
 from repro.core.database import TrajectoryDatabase
-from repro.core.models import CompatibilityModel, require_fitted_pair
+from repro.core.engine import (
+    LinkEngine,
+    LinkOptions,
+    QueryEvidence,
+    _log_posterior_ratio,
+)
+from repro.core.models import CompatibilityModel
 from repro.core.trajectory import Trajectory
-from repro.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,11 @@ class NBDecision:
     n_incompatible: int
 
 
-def _log_likelihood(
-    ps: np.ndarray, incompatible: np.ndarray, floor: float
-) -> float:
-    """``sum_i log(p_i)`` over incompatible plus ``log(1-p_i)`` over compatible."""
-    clamped = np.clip(ps, floor, 1.0 - floor)
-    return float(
-        np.log(clamped[incompatible]).sum()
-        + np.log1p(-clamped[~incompatible]).sum()
-    )
-
-
 class NaiveBayesMatcher:
     """Naive-Bayes matcher bound to a fitted (Mr, Ma) model pair.
+
+    A per-pair view of a :class:`~repro.core.engine.LinkEngine`: every
+    decision reads the engine's evidence.
 
     Parameters
     ----------
@@ -88,43 +83,27 @@ class NaiveBayesMatcher:
         acceptance_model: CompatibilityModel,
         phi_r: float = 0.01,
     ) -> None:
-        self._mr, self._ma = require_fitted_pair(rejection_model, acceptance_model)
-        if not 0.0 < phi_r < 1.0:
-            raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
-        self._phi_r = float(phi_r)
+        options = LinkOptions(method="naive-bayes", phi_r=float(phi_r))
+        self._engine = LinkEngine(rejection_model, acceptance_model, options)
 
     @property
     def phi_r(self) -> float:
-        return self._phi_r
+        return self._engine.options.phi_r
 
     @property
     def phi_a(self) -> float:
-        return 1.0 - self._phi_r
+        return self._engine.options.phi_a
 
     @property
     def config(self):
-        return self._mr.config
+        return self._engine.config
 
     def decide_profile(
         self, profile: MutualSegmentProfile, candidate_id: object = None
     ) -> NBDecision:
         """Classify a pre-computed mutual-segment profile."""
-        floor = self.config.prob_floor
-        within = profile.within_horizon(self._mr.n_buckets)
-        ps_r = self._mr.probs_for(within.buckets)
-        ps_a = self._ma.probs_for(within.buckets)
-        ll_r = _log_likelihood(ps_r, within.incompatible, floor)
-        ll_a = _log_likelihood(ps_a, within.incompatible, floor)
-        ratio = (math.log(self._phi_r) + ll_r) - (math.log(self.phi_a) + ll_a)
-        return NBDecision(
-            candidate_id=candidate_id,
-            log_likelihood_rejection=ll_r,
-            log_likelihood_acceptance=ll_a,
-            log_posterior_ratio=ratio,
-            same_person=ratio >= 0.0,
-            n_mutual=within.n_total,
-            n_incompatible=within.n_incompatible,
-        )
+        evidence = self._engine._profile_evidence([profile], (candidate_id,))
+        return self._decisions(evidence)[0]
 
     def decide(
         self,
@@ -135,12 +114,11 @@ class NaiveBayesMatcher:
         """Classify one (query, candidate) trajectory pair.
 
         Pass ``profile`` when the pair's mutual-segment profile is
-        already known (e.g. from a :class:`~repro.core.engine.ProfileCache`)
-        so the pair is not aligned a second time.
+        already known so the pair is not aligned a second time.
         """
-        if profile is None:
-            profile = mutual_segment_profile(query, candidate, self.config)
-        return self.decide_profile(profile, candidate_id=candidate.traj_id)
+        if profile is not None:
+            return self.decide_profile(profile, candidate_id=candidate.traj_id)
+        return self._decisions(self._engine.evidence([query], [candidate])[0])[0]
 
     def query(
         self,
@@ -152,9 +130,29 @@ class NaiveBayesMatcher:
         Returned in database order; the paper ranks them separately via
         the (alpha1, alpha2)-filtering score when needed (Section V).
         """
-        matched: list[NBDecision] = []
-        for candidate in candidates:
-            decision = self.decide(query, candidate)
-            if decision.same_person:
-                matched.append(decision)
-        return matched
+        evidence = self._engine.evidence([query], candidates)[0]
+        return [d for d in self._decisions(evidence) if d.same_person]
+
+    def _decisions(self, evidence: QueryEvidence) -> list[NBDecision]:
+        ratios = _log_posterior_ratio(
+            evidence.ll_rejection, evidence.ll_acceptance, self.phi_r
+        )
+        return [
+            NBDecision(
+                candidate_id=cid,
+                log_likelihood_rejection=float(ll_r),
+                log_likelihood_acceptance=float(ll_a),
+                log_posterior_ratio=float(ratio),
+                same_person=bool(ratio >= 0.0),
+                n_mutual=int(n),
+                n_incompatible=int(k),
+            )
+            for cid, ll_r, ll_a, ratio, n, k in zip(
+                evidence.candidate_ids,
+                evidence.ll_rejection,
+                evidence.ll_acceptance,
+                ratios,
+                evidence.n_mutual,
+                evidence.n_incompatible,
+            )
+        ]

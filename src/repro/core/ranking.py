@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.alignment import MutualSegmentProfile, mutual_segment_profile
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
-from repro.core.models import CompatibilityModel, require_fitted_pair
+from repro.core.alignment import MutualSegmentProfile
+from repro.core.engine import LinkEngine, QueryEvidence
+from repro.core.models import CompatibilityModel
 from repro.core.trajectory import Trajectory
 
 
@@ -33,21 +33,28 @@ class ScoredCandidate:
     p_acceptance: float
 
 
+def _scored(evidence: QueryEvidence) -> list[ScoredCandidate]:
+    return [
+        ScoredCandidate(
+            candidate_id=cid,
+            score=float(score),
+            p_rejection=float(p1),
+            p_acceptance=float(p2),
+        )
+        for cid, score, p1, p2 in zip(
+            evidence.candidate_ids, evidence.scores(), evidence.p1, evidence.p2
+        )
+    ]
+
+
 def score_candidate(
     profile: MutualSegmentProfile,
     rejection_model: CompatibilityModel,
     acceptance_model: CompatibilityModel,
 ) -> ScoredCandidate:
     """Score one pre-computed profile with Eq. 2 (id left as ``None``)."""
-    mr, ma = require_fitted_pair(rejection_model, acceptance_model)
-    p1 = rejection_pvalue(profile, mr)
-    p2 = acceptance_pvalue(profile, ma)
-    return ScoredCandidate(
-        candidate_id=None,
-        score=p1 * (1.0 - p2),
-        p_rejection=p1,
-        p_acceptance=p2,
-    )
+    engine = LinkEngine(rejection_model, acceptance_model)
+    return _scored(engine._profile_evidence([profile], (None,)))[0]
 
 
 def rank_candidates(
@@ -61,19 +68,8 @@ def rank_candidates(
     Ties are broken by candidate order (stable sort), matching the
     paper's non-increasing-likelihood examination order.
     """
-    mr, ma = require_fitted_pair(rejection_model, acceptance_model)
-    scored: list[ScoredCandidate] = []
-    for candidate in candidates:
-        profile = mutual_segment_profile(query, candidate, mr.config)
-        base = score_candidate(profile, mr, ma)
-        scored.append(
-            ScoredCandidate(
-                candidate_id=candidate.traj_id,
-                score=base.score,
-                p_rejection=base.p_rejection,
-                p_acceptance=base.p_acceptance,
-            )
-        )
+    engine = LinkEngine(rejection_model, acceptance_model)
+    scored = _scored(engine.evidence([query], candidates)[0])
     scored.sort(key=lambda c: -c.score)
     return scored
 

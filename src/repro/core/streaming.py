@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import FTLConfig
+from repro.core.hypothesis import acceptance_pvalue_arrays, rejection_pvalue_arrays
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
 from repro.geo.distance import get_metric
-from repro.stats.poisson_binomial import PoissonBinomial
 
 #: Source labels, matching repro.core.alignment.
 SOURCE_P = 0
@@ -183,20 +183,14 @@ class StreamingPairEvidence:
 
     def rejection_pvalue(self, mr: CompatibilityModel) -> float:
         """``Pr(K >= k_obs | Mr)`` of the current evidence."""
-        ps = self._per_segment_probs(mr)
-        if ps.size == 0:
-            return 1.0
-        return PoissonBinomial(ps, backend=self._config.pb_backend).sf(
-            self.n_incompatible
+        return rejection_pvalue_arrays(
+            self._per_segment_probs(mr), self.n_incompatible, self._config.pb_backend
         )
 
     def acceptance_pvalue(self, ma: CompatibilityModel) -> float:
         """``Pr(K <= k_obs | Ma)`` of the current evidence."""
-        ps = self._per_segment_probs(ma)
-        if ps.size == 0:
-            return 1.0
-        return PoissonBinomial(ps, backend=self._config.pb_backend).cdf(
-            self.n_incompatible
+        return acceptance_pvalue_arrays(
+            self._per_segment_probs(ma), self.n_incompatible, self._config.pb_backend
         )
 
 
@@ -218,7 +212,8 @@ class StreamingLinker:
     :meth:`observe_candidate`; :meth:`decisions` returns the current
     per-candidate NB decision, and :meth:`matches` the positives.  The
     decision at any instant equals what the batch
-    :class:`~repro.core.naive_bayes.NaiveBayesMatcher` would produce on
+    :class:`~repro.core.engine.LinkEngine` (through its per-pair view
+    :class:`~repro.core.naive_bayes.NaiveBayesMatcher`) would produce on
     the records seen so far (tested).
     """
 

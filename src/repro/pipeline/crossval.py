@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import FTLConfig
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
 from repro.synth.scenario import ScenarioPair
 
@@ -51,20 +51,16 @@ def _split_ids(
 
 
 def _evaluate(
-    matcher: NaiveBayesMatcher,
+    engine: LinkEngine,
     pair: ScenarioPair,
     query_ids: list,
 ) -> tuple[float, float]:
-    hits = 0
-    returned = 0
-    for qid in query_ids:
-        matches = {
-            d.candidate_id
-            for d in matcher.query(pair.p_db[qid], pair.q_db)
-        }
-        returned += len(matches)
-        if pair.truth[qid] in matches:
-            hits += 1
+    results = engine.link_batch([pair.p_db[qid] for qid in query_ids], pair.q_db)
+    hits = sum(
+        pair.truth[qid] in result.candidate_ids()
+        for qid, result in zip(query_ids, results)
+    )
+    returned = sum(len(result) for result in results)
     n = len(query_ids)
     return hits / n, returned / (n * len(pair.q_db))
 
@@ -102,7 +98,7 @@ def run_holdout(
     )
     mr = CompatibilityModel.fit_rejection([train_p, train_q], config)
     ma = CompatibilityModel.fit_acceptance([train_p, train_q], config, rng)
-    matcher = NaiveBayesMatcher(mr, ma, phi_r)
+    engine = LinkEngine(mr, ma, LinkOptions(method="naive-bayes", phi_r=phi_r))
 
     def cap(ids: list) -> list:
         if len(ids) <= max_queries_per_fold:
@@ -112,8 +108,8 @@ def run_holdout(
 
     train_eval = cap(train_ids)
     test_eval = cap(test_ids)
-    train_perc, train_sel = _evaluate(matcher, pair, train_eval)
-    test_perc, test_sel = _evaluate(matcher, pair, test_eval)
+    train_perc, train_sel = _evaluate(engine, pair, train_eval)
+    test_perc, test_sel = _evaluate(engine, pair, test_eval)
     return HoldoutResult(
         train_perceptiveness=train_perc,
         test_perceptiveness=test_perc,

@@ -23,7 +23,7 @@ from repro.baselines.edr import edr_distance
 from repro.baselines.lcss import lcss_distance
 from repro.baselines.p2t import p2t_distance
 from repro.config import FTLConfig
-from repro.core.naive_bayes import NaiveBayesMatcher
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.errors import ValidationError
 from repro.pipeline.experiment import fit_model_pair
 from repro.synth.downsample import downsample_pair
@@ -96,14 +96,12 @@ def evaluate_at_rate(
 
     # FTL (Naive-Bayes): found iff the true match is a positive decision.
     mr, ma = fit_model_pair(pair, config, rng)
-    matcher = NaiveBayesMatcher(mr, ma, phi_r)
-    hits = 0
-    for qid in valid_queries:
-        positives = {
-            d.candidate_id for d in matcher.query(pair.p_db[qid], pair.q_db)
-        }
-        if pair.truth[qid] in positives:
-            hits += 1
+    engine = LinkEngine(mr, ma, LinkOptions(method="naive-bayes", phi_r=phi_r))
+    results = engine.link_batch([pair.p_db[qid] for qid in valid_queries], pair.q_db)
+    hits = sum(
+        pair.truth[qid] in result.candidate_ids()
+        for qid, result in zip(valid_queries, results)
+    )
     precision["FTL"] = hits / len(valid_queries)
 
     # Similarity baselines: found iff the true match is in the top-k.

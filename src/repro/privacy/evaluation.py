@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import FTLConfig
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
 from repro.privacy.defenses import Defense
 from repro.synth.scenario import ScenarioPair
@@ -54,22 +54,21 @@ def _attack(
     """Adaptive attacker's (perceptiveness, mean candidate count)."""
     mr = CompatibilityModel.fit_rejection([pair.p_db, pair.q_db], config)
     ma = CompatibilityModel.fit_acceptance([pair.p_db, pair.q_db], config, rng)
-    matcher = NaiveBayesMatcher(mr, ma, phi_r)
-    hits = 0
-    returned = 0
-    usable = 0
-    for qid in query_ids:
-        query = pair.p_db.get(qid)
-        if query is None or len(query) == 0:
-            continue
-        usable += 1
-        matches = {d.candidate_id for d in matcher.query(query, pair.q_db)}
-        returned += len(matches)
-        if pair.truth.get(qid) in matches:
-            hits += 1
-    if usable == 0:
+    engine = LinkEngine(mr, ma, LinkOptions(method="naive-bayes", phi_r=phi_r))
+    usable = [
+        qid
+        for qid in query_ids
+        if (query := pair.p_db.get(qid)) is not None and len(query) > 0
+    ]
+    if not usable:
         return 0.0, 0.0
-    return hits / usable, returned / usable
+    results = engine.link_batch([pair.p_db[qid] for qid in usable], pair.q_db)
+    hits = sum(
+        pair.truth.get(qid) in result.candidate_ids()
+        for qid, result in zip(usable, results)
+    )
+    returned = sum(len(result) for result in results)
+    return hits / len(usable), returned / len(usable)
 
 
 def evaluate_defense_sweep(

@@ -15,7 +15,14 @@ from repro.core.engine import (
     LinkOptions,
     ProfileCache,
 )
+from repro.core.filtering import AlphaFilter
+from repro.core.hypothesis import (
+    acceptance_pvalue,
+    log_likelihood,
+    rejection_pvalue,
+)
 from repro.core.linker import FTLLinker
+from repro.core.models import ACCEPTANCE, REJECTION, BucketCounts, CompatibilityModel
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
 
@@ -401,3 +408,94 @@ class TestLinkRequests:
         request = LinkRequest(query=query_set[0], candidates=pool)
         assert isinstance(request.candidates, tuple)
         assert len(request.candidates) == 2
+
+
+# ----------------------------------------------------------------------
+# Differential: LinkEngine.evidence against the per-pair oracle
+# ----------------------------------------------------------------------
+ORACLE_CONFIG = FTLConfig(smoothing=0.0, min_bucket_count=1)
+
+
+def _model_strategy(kind):
+    """A model with arbitrary per-bucket probabilities, 0 and 1 included."""
+    n = ORACLE_CONFIG.n_buckets
+    return st.lists(st.integers(0, 100), min_size=n, max_size=n).map(
+        lambda incompatible: CompatibilityModel(
+            kind,
+            BucketCounts(np.full(n, 100, dtype=np.int64), np.asarray(incompatible)),
+            ORACLE_CONFIG,
+        )
+    )
+
+
+def _grid_trajectory(draw, traj_id, min_len=0, max_len=12, shift=0.0):
+    """Timestamps on a 30 s grid (so ties are common) over ~2 horizons."""
+    n = draw(st.integers(min_len, max_len))
+    ts = np.sort(draw(st.lists(st.integers(0, 240), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return Trajectory(
+        ts * 30.0 + shift,
+        rng.uniform(0, 3e4, n),
+        rng.uniform(0, 3e4, n),
+        traj_id,
+    )
+
+
+@st.composite
+def _query_and_pool(draw):
+    """A query and a pool that always holds the edge cases.
+
+    Besides the drawn candidates the pool has an empty trajectory (an
+    empty profile), one far later in time (every mutual segment beyond
+    the horizon) and one on the query's own timestamps (all ties).
+    """
+    query = _grid_trajectory(draw, "q", min_len=1)
+    pool = [
+        _grid_trajectory(draw, f"c{i}") for i in range(draw(st.integers(0, 6)))
+    ]
+    pool.append(Trajectory([], [], [], "empty"))
+    pool.append(_grid_trajectory(draw, "far", min_len=1, shift=1e5))
+    pool.append(Trajectory(query.ts, query.ys, query.xs, "ties"))
+    return query, pool
+
+
+class TestEvidenceOracle:
+    """``LinkEngine.evidence`` equals the per-pair oracle bit for bit."""
+
+    @given(
+        _query_and_pool(),
+        _model_strategy(REJECTION),
+        _model_strategy(ACCEPTANCE),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_evidence_equals_oracle(self, query_pool, mr, ma, alpha1):
+        query, pool = query_pool
+        profiles = [mutual_segment_profile(query, c, ORACLE_CONFIG) for c in pool]
+        within = [p.within_horizon(ORACLE_CONFIG.n_buckets) for p in profiles]
+        p1 = [rejection_pvalue(p, mr) for p in profiles]
+        p2 = [acceptance_pvalue(p, ma) for p in profiles]
+        llr = [log_likelihood(p, mr) - log_likelihood(p, ma) for p in profiles]
+        for kernel in ("numpy", "python"):
+            engine = LinkEngine(mr, ma, LinkOptions(kernel_backend=kernel))
+            [evidence] = engine.evidence([query], pool)
+            assert evidence.query_id == "q"
+            assert evidence.candidate_ids == tuple(c.traj_id for c in pool)
+            assert evidence.p1.tolist() == p1
+            assert evidence.p2.tolist() == p2
+            assert evidence.llr.tolist() == llr
+            assert evidence.n_mutual.tolist() == [w.n_total for w in within]
+            assert evidence.n_incompatible.tolist() == [
+                w.n_incompatible for w in within
+            ]
+
+        matcher = AlphaFilter(mr, ma, alpha1=alpha1, alpha2=0.5)
+        for profile, oracle_p1 in zip(profiles, p1):
+            decision = matcher.decide_profile(profile)
+            assert decision.p_rejection == oracle_p1
+            assert (decision.p_acceptance is None) == (oracle_p1 < alpha1)
+
+    def test_empty_pool(self, fitted_models, query_set):
+        [evidence] = make_engine(fitted_models).evidence(query_set[:1], [])
+        assert evidence.candidate_ids == ()
+        assert evidence.p1.shape == evidence.llr.shape == (0,)

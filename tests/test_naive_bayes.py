@@ -7,8 +7,9 @@ import pytest
 
 from repro.config import FTLConfig
 from repro.core.alignment import MutualSegmentProfile
+from repro.core.hypothesis import log_likelihood_arrays as _log_likelihood
 from repro.core.models import ACCEPTANCE, REJECTION, BucketCounts, CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher, _log_likelihood
+from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
 
 
