@@ -47,7 +47,7 @@ from repro.service.protocol import (
     trajectory_to_wire,
 )
 from repro.service.server import BackgroundServer, LinkServer, ServerConfig
-from repro.service.shard import HashRing, merge_partials, partition_pool
+from repro.service.shard import HashRing, merge_partials
 from repro.service.state import IngestSession, Metrics, ServiceState
 from repro.service.supervisor import ShardSupervisor
 
@@ -71,7 +71,6 @@ __all__ = [
     "link_request_from_wire",
     "merge_partials",
     "options_from_wire",
-    "partition_pool",
     "result_from_wire",
     "result_to_wire",
     "trajectory_from_wire",

@@ -207,9 +207,9 @@ class LinkServer:
             model_artifact_id=model_artifact_id,
         )
         self._clock = clock
-        # The supervisor is built here (partitions computed) but forks
-        # its workers in start(), before the asyncio listener exists,
-        # so children inherit engine + pool copy-on-write and no server
+        # The supervisor is built here (owners pinned) but forks its
+        # workers in start(), before the asyncio listener exists, so
+        # children inherit engine + pool copy-on-write and no server
         # sockets.  With one worker it forks nothing.
         self._supervisor = ShardSupervisor(
             self._state, config.workers, spans=config.spans
@@ -217,17 +217,18 @@ class LinkServer:
         # A store-backed daemon is a *streaming* daemon: the runtime
         # owns the delta log, the standing-query registry and the
         # background-merge policy, and the supervisor's flush/evict
-        # hooks drive it.  Changed-pair re-scoring goes to the shards
-        # owning each candidate.
+        # hooks drive it.  It sends every pool update on to the shard
+        # slices, and changed-pair re-scoring goes to the shards owning
+        # each candidate.
         if store is not None:
             self._state.stream = StreamRuntime(
                 store,
                 engine,
-                self._state.pool,
+                self._state.resident,
                 self._state.options,
                 metrics=self._state.metrics,
                 clock=clock,
-                scorer=self._supervisor.score_pairs,
+                shards=self._supervisor,
                 engine_lock=self._state.engine_lock,
                 merge_min_blocks=config.merge_min_blocks,
             )
@@ -810,7 +811,6 @@ class LinkServer:
             "pool_size": len(self._state.pool),
             "model_drift": self._drift_gauge(evidence),
             "shard_count": self._supervisor.n_shards,
-            "shard_plan_stale": 1.0 if self._supervisor.plan_drift() else 0.0,
             "worker_up": [
                 ({"shard": str(shard_id)}, 1.0 if shard_id in worker_payloads else 0.0)
                 for shard_id in range(self._supervisor.n_shards)
@@ -866,8 +866,8 @@ class LinkServer:
     ) -> tuple[dict, tuple[protocol.ShardInfo, ...]]:
         """Score the edge set, then solve the global matching.
 
-        Under ``--workers N`` each shard scores its home-cell slice of
-        the pool and ``merge_partials`` restores the exact one-shard
+        Under ``--workers N`` each shard scores its live slice of the
+        pool and ``merge_partials`` restores the exact one-shard
         ranking per query (property-tested in ``tests/test_shard.py``),
         so the coordinator's solve sees the same edges — and returns
         the same matching — whatever the shard count.
@@ -877,8 +877,9 @@ class LinkServer:
         requests = [
             LinkRequest(query=q, options=wire.options) for q in wire.queries
         ]
-        pool_ids = [t.traj_id for t in self._state.pool]
-        with obs.span("edge_scoring"):
+        # The pool ids and the scatter see one pool state.
+        with self._state.engine_lock, obs.span("edge_scoring"):
+            pool_ids = [t.traj_id for t in self._state.pool]
             scattered = self._supervisor.link_requests(requests)
         results = [result for result, _ in scattered]
         shards = self._aggregate_shards(

@@ -1,4 +1,4 @@
-"""Candidate-pool sharding: hash ring, partitioning, worker protocol.
+"""Candidate-pool sharding: hash ring, owners, worker protocol.
 
 The multi-worker daemon (see :mod:`repro.service.supervisor`) splits
 the resident candidate pool across ``fork``ed worker processes and
@@ -6,20 +6,25 @@ turns ``/link`` into a scatter-gather.  This module holds the pieces
 that are pure enough to test without forking:
 
 * a **consistent-hash ring** over the spatio-temporal index's packed
-  cell keys (:func:`repro.store.stindex.pack_cell_keys`): each pool
+  cell keys (:func:`repro.store.stindex.pack_cell_keys`): a pool
   trajectory's *home cell* — the cell of its first record at
   :attr:`~repro.config.FTLConfig.shard_cell_size_m` resolution — maps
-  to a shard, so spatially co-located candidates (the ones that block
-  together) tend to stay together and ring perturbations move few keys;
-* :func:`partition_pool`, which turns a pool into per-shard lists of
-  **global pool indices** (ascending within each shard — the invariant
-  the merge's tie-breaking rests on);
+  to a shard (:func:`home_shard`), so spatially co-located candidates
+  (the ones that block together) tend to stay together and ring
+  perturbations move few keys;
 * a length-prefixed pickle **framing** over ``socketpair`` and the
   blocking worker loop :func:`run_worker` / parent-side
   :class:`ShardHandle`, plus :class:`LocalShard`, which answers the
   same ops in-process for a one-shard daemon;
 * :func:`merge_partials` with the correctness argument for why the
   merged top-k equals the single-process ranking bit for bit.
+
+**Live slices.**  Each worker holds a
+:meth:`~repro.stream.pool.ResidentPool.subset` of the coordinator's
+pool, the ids it owns in first-seen order, and the ``pool_delta`` op
+applies each flush and eviction to it (``ResidentPool.merge``/
+``evict``); a delta whose generation the slice already holds (a worker
+re-forked from the live pool mid-broadcast) is skipped.
 
 **Merge correctness.**  Every per-candidate statistic the engine
 computes (``p_rejection``, ``p_acceptance``, ``score``) depends only on
@@ -28,13 +33,12 @@ bit-identical to the per-pair reference regardless of batch composition
 (property-tested in ``tests/test_kernels.py``) — so a candidate's
 evidence is the same whether its shard holds 3 or 3000 neighbours.
 Single-process ranking sorts the matched set with a *stable* sort on
-descending score over a pool-ordered list, i.e. orders by
-``(-score, pool_index)``.  Workers link against their local slice with
-each trajectory re-identified by its **global** pool index, so partial
-rankings arrive with exact global positions; sorting the concatenation
-by ``(-score, global_index)`` reproduces the single-process order
-exactly.  Per-shard ``top_k`` truncation is lossless: any candidate in
-the global top k ranks at most k-th within its own shard under the same
+descending score over the pool list, which is in first-seen order,
+i.e. orders by ``(-score, first-seen rank)``.  Every slice keeps that
+order, so sorting the concatenated partials by the same key, with the
+coordinator's ranks, reproduces the single-process order exactly.
+Per-shard ``top_k`` truncation is lossless: any candidate in the global
+top k ranks at most k-th within its own shard under the same
 comparator.  The equivalence is property-tested across shard counts and
 both methods in ``tests/test_shard.py``.
 """
@@ -48,13 +52,13 @@ import pickle
 import socket
 import struct
 import time
-from dataclasses import dataclass, replace
 
 from repro import obs
 from repro.core.engine import Candidate, LinkOptions, LinkRequest, LinkResult
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError, WorkerCrashedError
 from repro.store.stindex import pack_cell_keys
+from repro.stream.standing import score_units
 
 #: Virtual nodes per shard on the hash ring; enough for an even spread
 #: at single-digit shard counts without bloating ring construction.
@@ -123,6 +127,8 @@ def home_shard(
     the same shard.  Empty trajectories and out-of-range coordinates
     fall back to hashing the trajectory id.
     """
+    if ring.n_shards == 1:
+        return 0
     if len(trajectory) > 0:
         keys = pack_cell_keys(
             trajectory.xs[:1], trajectory.ys[:1], cell_size_m
@@ -130,37 +136,6 @@ def home_shard(
         if keys is not None:
             return ring.shard_for(f"cell:{int(keys[0])}")
     return ring.shard_for(f"id:{trajectory.traj_id!r}")
-
-
-def partition_pool(
-    pool: list[Trajectory], ring: HashRing, cell_size_m: float
-) -> list[list[int]]:
-    """Global pool indices per shard (ascending; disjoint; covering).
-
-    Ascending order within each shard is load-bearing: workers link
-    against their slice in global-index order, so stable same-score
-    ties inside a shard already agree with the global
-    ``(-score, global_index)`` merge order.
-    """
-    partitions: list[list[int]] = [[] for _ in range(ring.n_shards)]
-    for index, trajectory in enumerate(pool):
-        partitions[home_shard(ring, trajectory, cell_size_m)].append(index)
-    return partitions
-
-
-def reindexed(trajectory: Trajectory, global_index: int) -> Trajectory:
-    """A view of ``trajectory`` whose id is its global pool index.
-
-    Shares the underlying record arrays (no copy).  Workers link
-    against re-identified slices so every partial-ranking entry carries
-    its exact global pool position; the coordinator swaps the real id
-    back in after the merge.
-    """
-    # Records are already validated and time-sorted; bypass __init__ so
-    # re-identifying a large pool at fork time costs O(1) per trajectory.
-    return Trajectory.from_arrays_unchecked(
-        trajectory._ts, trajectory._xs, trajectory._ys, global_index
-    )
 
 
 # ----------------------------------------------------------------------
@@ -201,11 +176,9 @@ def shard_link_matches(
 ) -> list[list[Candidate]]:
     """One shard's partial rankings for a batch of pool-backed queries.
 
-    ``local_pool`` must already be re-identified by global pool index
-    (see :func:`reindexed`); the returned :class:`Candidate` entries
-    therefore carry global indices as their ``candidate_id``.  Exposed
-    separately from the socket loop so the merge-equivalence property
-    tests exercise the exact serving code without forking.
+    ``local_pool`` is the shard's slice, in global first-seen order.
+    Exposed separately from the socket loop so the merge-equivalence
+    property tests exercise the exact serving code without forking.
     """
     requests = [
         LinkRequest(query=query, options=options) for query, options in units
@@ -225,7 +198,7 @@ def run_worker(
     """The blocking shard-worker loop (runs in the forked child).
 
     ``state`` is a :class:`~repro.service.state.ServiceState` whose
-    ``pool`` is the shard's re-identified slice and whose sessions
+    ``resident`` pool is the shard's live slice and whose sessions
     buffer pending records when the coordinator has a store.  The loop
     answers ``(op, payload)`` frames with ``("ok", result)`` or
     ``("error", exception)`` and exits on socket EOF — the coordinator
@@ -304,21 +277,19 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
             }
             for d in entry.linker.decisions()
         ]
+    if op == "pool_delta":
+        resident = state.resident
+        if payload["generation"] > resident.generation:
+            if "cutoff" in payload:
+                resident.evict(payload["cutoff"])
+            else:
+                resident.merge(payload["deltas"], payload["retain_after"])
+            resident.generation = payload["generation"]
+        return None
     if op == "score_pairs":
-        # Standing-query re-scoring: the coordinator ships the current
-        # candidate trajectories (the worker's resident pool is a
-        # frozen fork-time slice); profiles are cached by content, so
-        # none computed for their superseded records can be served.
-        result = state.engine.link_requests(
-            [
-                LinkRequest(
-                    payload["query"],
-                    candidates=tuple(payload["candidates"]),
-                    options=payload["options"],
-                )
-            ]
-        )[0]
-        return list(result.candidates)
+        # Standing-query re-scoring of the changed pairs this shard
+        # owns, from its live slice.
+        return score_units(state.engine, state.resident.by_id, payload)
     if op == "take_pending":
         return state.take_pending(payload)
     if op == "drop_session":
@@ -412,11 +383,9 @@ class LocalShard:
 
     Answers the same ops as :func:`run_worker` by calling
     :func:`_dispatch_op` on the caller's thread: no fork, no pickle, no
-    socket and no scatter-thread hop.  ``state`` links the
-    coordinator's *live* pool under the real trajectory ids, so the
-    stream runtime's in-place pool updates reach the next link; one
-    partial is already the global order, so nothing is re-indexed or
-    merged.
+    socket and no scatter-thread hop.  ``state`` shares the
+    coordinator's live pool, so the stream runtime's in-place pool
+    updates reach the next link and the ``pool_delta`` op is a no-op.
 
     Each op runs under the coordinator's re-entrant engine lock — the
     one-op-at-a-time guarantee a worker's socket gives, and the lock
@@ -436,6 +405,8 @@ class LocalShard:
         self._sink = obs.MetricsSpanSink(state.metrics) if spans else None
 
     def call(self, op: str, payload: object = None) -> object:
+        if op == "pool_delta":
+            return None  # the shard already links the live pool
         with (
             self._coordinator.engine_lock,
             obs.use_sink(self._sink),
@@ -459,57 +430,26 @@ class LocalShard:
         """Nothing to release: the shard lives in the coordinator."""
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """One shard's share of the pool: global indices + re-ID'd slice."""
-
-    shard_id: int
-    global_indices: tuple[int, ...]
-    local_pool: tuple[Trajectory, ...]
-
-
-def plan_shards(
-    pool: list[Trajectory], ring: HashRing, cell_size_m: float
-) -> list[ShardPlan]:
-    """Partition the pool and pre-build each shard's re-ID'd slice."""
-    plans = []
-    for shard_id, indices in enumerate(partition_pool(pool, ring, cell_size_m)):
-        plans.append(
-            ShardPlan(
-                shard_id=shard_id,
-                global_indices=tuple(indices),
-                local_pool=tuple(
-                    reindexed(pool[index], index) for index in indices
-                ),
-            )
-        )
-    return plans
-
-
 def merge_partials(
     partials: list[list[Candidate]],
-    pool_ids: list[object],
+    rank: dict[str, int],
     query_id: object,
     options: LinkOptions,
 ) -> LinkResult:
     """Merge per-shard partial rankings into the global result.
 
-    ``partials`` hold :class:`Candidate` entries whose ``candidate_id``
-    is the *global pool index*; the merged order is
-    ``(-score, global_index)`` — exactly the single-process stable
-    sort's order (see the module docstring) — truncated to ``top_k``
-    and re-identified with the real pool ids.
+    ``rank`` maps each pool id to its first-seen rank (the
+    coordinator's :attr:`ResidentPool.rank
+    <repro.stream.pool.ResidentPool.rank>`); the merged order is
+    ``(-score, rank)`` — exactly the single-process stable sort's order
+    (see the module docstring) — truncated to ``top_k``.
     """
     merged: list[Candidate] = []
     for partial in partials:
         merged.extend(partial)
-    merged.sort(key=lambda c: (-c.score, c.candidate_id))
+    merged.sort(key=lambda c: (-c.score, rank[str(c.candidate_id)]))
     if options.top_k is not None:
         merged = merged[: options.top_k]
     return LinkResult(
-        query_id=query_id,
-        method=options.method,
-        candidates=tuple(
-            replace(c, candidate_id=pool_ids[c.candidate_id]) for c in merged
-        ),
+        query_id=query_id, method=options.method, candidates=tuple(merged)
     )

@@ -20,6 +20,7 @@ from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
 from repro.obs import BucketEvidence, STAGES, render_exposition
 from repro.obs.spans import STAGE_METRIC_PREFIX
+from repro.stream.pool import ResidentPool
 
 #: Idle seconds after which an ingest session is garbage-collected.
 DEFAULT_SESSION_TTL_S = 900.0
@@ -204,6 +205,9 @@ class ServiceState:
     pool:
         Resident candidate pool used by ``/link`` requests that do not
         carry their own candidates.
+    resident:
+        The :class:`~repro.stream.pool.ResidentPool` over ``pool`` (its
+        id views and first-seen ranks); built when not given.
     options:
         Server-default :class:`LinkOptions`; per-request ``options``
         objects are applied on top.
@@ -243,6 +247,7 @@ class ServiceState:
     #: Artifact id of the model pair the engine was built from (``None``
     #: for an ad-hoc in-process fit); reported by health/admin handlers.
     model_artifact_id: str | None = None
+    resident: ResidentPool | None = None
     #: Serialises every use of ``engine`` (its profile cache is a plain
     #: dict) across the batch thread, ingest/flush handlers and the
     #: stream runtime.  Re-entrant: a flush holds it while re-scoring
@@ -259,6 +264,10 @@ class ServiceState:
         if self.session_ttl_s <= 0:
             raise ValidationError(
                 f"session_ttl_s must be positive, got {self.session_ttl_s}"
+            )
+        if self.resident is None:
+            self.resident = ResidentPool(
+                self.pool, self.store.ids() if self.store is not None else ()
             )
         self.started_at = self.clock()
         #: Live per-bucket drift evidence; batch worker threads bind it

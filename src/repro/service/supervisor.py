@@ -14,26 +14,35 @@ place the shard count matters.
 
 Division of labour:
 
-* **Workers** hold disjoint pool slices (consistent-hashed by home
-  cell) and answer ``link`` with per-shard partial rankings; for
-  ingest they run real :class:`~repro.core.streaming.StreamingLinker`
+* **Workers** hold disjoint, live slices of the coordinator's
+  :class:`~repro.stream.pool.ResidentPool`.  Each id is pinned to an
+  owner the first time the coordinator sees it: the home cell of its
+  trajectory at startup, else of its first flushed delta.  Workers
+  answer ``link`` with per-shard partial rankings over their slice and
+  ``score_pairs`` with the standing-query pairs they own; for ingest
+  they run real :class:`~repro.core.streaming.StreamingLinker`
   sessions over the query stream (broadcast) and their owned
   candidates (routed), buffering raw candidate records when the
   daemon has a store to flush them into.
 * **The coordinator** merges partial rankings
   (:func:`~repro.service.shard.merge_partials` — bit-identical to the
   single-process order), keeps the session registry that reassembles
-  ingest responses, and is the *only* process that
-  touches the store: flushes pull buffered records out of workers via
-  ``take_pending`` and append them here.
+  ingest responses, and is the *only* process that touches the store:
+  flushes pull buffered records out of workers via ``take_pending``
+  and append them here.  The stream runtime applies each flush and
+  eviction to the coordinator's pool and sends it on to the slices
+  (:meth:`ShardSupervisor.merge_pool`, :meth:`~ShardSupervisor.evict_pool`)
+  under the engine lock that every ``link`` scatter also holds, so a
+  scatter sees every shard either before or after a flush, never a mix.
 
 Failure semantics: any transport error marks the worker dead, the
 supervisor respawns it and retries the operation once
-(``worker_restarts_total`` counts respawns).  A respawned worker
-restarts from the original pool snapshot, so streaming-session
-evidence its shard held is lost — equivalent to an idle-TTL expiry of
-that shard's slice of the session, and exactly the trade documented in
-``docs/service.md``.
+(``worker_restarts_total`` counts respawns).  A respawned worker is
+forked from the coordinator's *current* pool, and skips a retried delta
+its generation already holds.  Its sessions are replayed from the
+rehydration ledger below; records it had not flushed are lost —
+equivalent to an idle-TTL expiry of that part of the session, the
+trade documented in ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -48,20 +57,21 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.engine import LinkRequest, LinkResult
+from repro.core.engine import LinkRequest
 from repro.errors import FTLError, ValidationError, WorkerCrashedError
 from repro.service.protocol import IngestWireRequest, ShardInfo
 from repro.service.shard import (
     HashRing,
     LocalShard,
     ShardHandle,
-    ShardPlan,
+    home_shard,
     merge_partials,
-    plan_shards,
     run_worker,
 )
 from repro.service.state import ServiceState
 from repro.core.trajectory import Trajectory
+from repro.stream.pool import ResidentPool
+from repro.stream.standing import score_units
 
 _LOG = logging.getLogger("ftl.supervisor")
 
@@ -141,24 +151,10 @@ class ShardSupervisor:
         if cell_size_m is None:
             cell_size_m = state.engine.config.shard_cell_size_m
         self._cell_size_m = float(cell_size_m)
-        # One shard links the coordinator's live pool in-process, so it
-        # has no plan.  Forked workers get a plan frozen at
-        # construction: a pool update in the coordinator does NOT
-        # repartition them (restart the daemon to re-shard; documented
-        # in docs/service.md).
-        self._plans: list[ShardPlan] | None = (
-            plan_shards(list(state.pool), self.ring, self._cell_size_m)
-            if self.n_shards > 1
-            else None
-        )
-        self._pool_ids = [t.traj_id for t in state.pool]
-        # A streaming flush can append records to *existing* ids (the
-        # id list then never changes), so drift detection also pins the
-        # store generation the plan was computed against.
-        self._plan_generation = (
-            state.store.generation if state.store is not None else None
-        )
-        self._plan_stale = False
+        self._pool = state.resident
+        # id -> owning shard, pinned at first sight and never moved;
+        # start() slices, and so pins, the startup pool.
+        self._owners: dict[str, int] = {}
         self._handles: list[ShardHandle | LocalShard | None] = (
             [None] * self.n_shards
         )
@@ -183,7 +179,7 @@ class ShardSupervisor:
         if self._started:
             raise ValidationError("supervisor already started")
         self._started = True
-        if self._plans is not None:
+        if self.n_shards > 1:
             self._scatter = ThreadPoolExecutor(
                 max_workers=self.n_shards, thread_name_prefix="ftl-scatter"
             )
@@ -230,25 +226,42 @@ class ShardSupervisor:
                 return
             time.sleep(0.01)
 
-    def _worker_state(self, pool: list[Trajectory]) -> ServiceState:
-        """A shard's own state over ``pool``: the coordinator's engine,
-        options and store.  Its sessions never expire on their own (the
-        coordinator's ledger expires them via ``drop_session``) and
-        buffer candidate records only when the store exists."""
+    def _owner(self, trajectory: Trajectory) -> int:
+        """The shard owning ``trajectory``'s id, pinned at first sight."""
+        traj_id = str(trajectory.traj_id)
+        owner = self._owners.get(traj_id)
+        if owner is None:
+            owner = self._owners.setdefault(
+                traj_id, home_shard(self.ring, trajectory, self._cell_size_m)
+            )
+        return owner
+
+    def shard_pool(self, shard_id: int) -> ResidentPool:
+        """The live pool's slice ``shard_id`` owns, at its generation."""
+        return self._pool.subset(lambda t: self._owner(t) == shard_id)
+
+    def _worker_state(self, resident: ResidentPool) -> ServiceState:
+        """A shard's own state over ``resident``: the coordinator's
+        engine, options and store.  Its sessions never expire on their
+        own (the coordinator's ledger expires them via ``drop_session``)
+        and buffer candidate records only when the store exists."""
         return ServiceState(
             engine=self._state.engine,
-            pool=pool,
+            pool=resident.trajectories,
+            resident=resident,
             options=self._state.options,
             session_ttl_s=float("inf"),
             store=self._state.store,
         )
 
     def _spawn(self, shard_id: int) -> ShardHandle | LocalShard:
-        if self._plans is None:
+        if self.n_shards == 1:
             return LocalShard(
-                self._worker_state(self._state.pool), self._state, self._spans
+                self._worker_state(self._pool), self._state, self._spans
             )
-        plan = self._plans[shard_id]
+        # Sliced before the fork, from the live pool: a worker
+        # respawned mid-broadcast already holds the delta.
+        state = self._worker_state(self.shard_pool(shard_id))
         parent_sock, child_sock = socket.socketpair()
         pid = os.fork()
         if pid == 0:
@@ -261,12 +274,7 @@ class ShardSupervisor:
                 for other in self._handles:
                     if other is not None:
                         other.close()
-                run_worker(
-                    child_sock,
-                    self._worker_state(list(plan.local_pool)),
-                    shard_id,
-                    self._spans,
-                )
+                run_worker(child_sock, state, shard_id, self._spans)
             finally:
                 os._exit(0)
         child_sock.close()
@@ -376,11 +384,11 @@ class ShardSupervisor:
         """Serve a batch: ``(LinkResult, shard provenance)`` per request.
 
         Pool-backed requests are scattered to every shard in one
-        batched ``link`` op per shard and merged (a single in-process
-        shard's ranking already is the result); requests carrying
-        their own candidates execute on the coordinator's engine
-        (their candidates were never partitioned), reported as shard
-        ``-1``.
+        batched ``link`` op per shard and merged by first-seen rank,
+        under the engine lock, so no pool delta lands mid-scatter;
+        requests carrying their own candidates execute on the
+        coordinator's engine (their candidates were never
+        partitioned), reported as shard ``-1``.
         """
         pool_units: list[tuple[int, LinkRequest]] = []
         results: list[tuple[object, tuple[ShardInfo, ...]] | None]
@@ -394,30 +402,24 @@ class ShardSupervisor:
             payload = [
                 (request.query, request.options) for _, request in pool_units
             ]
-            futures = [
-                self._submit(shard_id, "link", payload)
-                for shard_id in range(self.n_shards)
-            ]
-            replies = [future.result() for future in futures]
+            with self._state.engine_lock:
+                futures = [
+                    self._submit(shard_id, "link", payload)
+                    for shard_id in range(self.n_shards)
+                ]
+                replies = [future.result() for future in futures]
             for j, (index, request) in enumerate(pool_units):
                 options = (
                     request.options
                     if request.options is not None
                     else self._state.options
                 )
-                if self._plans is None:
-                    merged = LinkResult(
-                        query_id=request.query.traj_id,
-                        method=options.method,
-                        candidates=tuple(replies[0]["matches"][j]),
-                    )
-                else:
-                    merged = merge_partials(
-                        [reply["matches"][j] for reply in replies],
-                        self._pool_ids,
-                        request.query.traj_id,
-                        options,
-                    )
+                merged = merge_partials(
+                    [reply["matches"][j] for reply in replies],
+                    self._pool.rank,
+                    request.query.traj_id,
+                    options,
+                )
                 provenance = tuple(
                     ShardInfo(
                         shard=reply["shard"],
@@ -449,50 +451,87 @@ class ShardSupervisor:
         return result, (info,)
 
     # ------------------------------------------------------------------
-    # Standing-query re-scoring scatter
+    # Pool deltas and standing-query re-scoring (stream runtime hooks)
     # ------------------------------------------------------------------
-    def score_pairs(self, query, candidates, options):
-        """Score changed standing-query pairs on the workers owning them.
+    def merge_pool(self, deltas, retain_after: float) -> None:
+        """Send a flush the coordinator's pool merged on to its owners
+        (new ids are pinned here), in flush order."""
+        groups: list[list[Trajectory]] = [[] for _ in range(self.n_shards)]
+        for delta in deltas:
+            groups[self._owner(delta)].append(delta)
+        self._broadcast_delta(
+            [{"deltas": group, "retain_after": retain_after} for group in groups]
+        )
 
-        The workers' resident pools are frozen fork-time slices, so the
-        *current* candidate trajectories ship with the request; profile
-        caches are keyed on content, so no worker can serve a profile
-        of a candidate's superseded records.  Candidates route by id
-        hash (the ring ingest uses); a shard that cannot answer even
-        after a respawn falls back to the coordinator engine, so an
-        update is never silently lost.  The
+    def evict_pool(self, cutoff_t: float) -> None:
+        """Send an eviction cutoff on to every shard."""
+        self._broadcast_delta([{"cutoff": cutoff_t}] * self.n_shards)
+
+    def reload_pool(self) -> None:
+        """Re-fork every worker (on its next op) from the coordinator's
+        pool, after the stream runtime reloaded it from the store."""
+        for handle in self._handles:
+            handle.close()
+
+    def _broadcast_delta(self, payloads: list[dict]) -> None:
+        """One ``pool_delta`` op per shard, stamped with the pool's
+        generation.  Never raises: a worker that dies or fails to apply
+        it is closed, and its next op re-forks it from the live pool."""
+        generation = self._pool.generation
+        futures = [
+            self._submit(shard_id, "pool_delta", {**p, "generation": generation})
+            for shard_id, p in enumerate(payloads)
+        ]
+        for shard_id, future in enumerate(futures):
+            try:
+                future.result()
+            except Exception:  # noqa: BLE001 - the shard is re-forked
+                _LOG.warning("pool_delta_failed", exc_info=True,
+                             extra={"ftl_fields": {"shard": shard_id}})
+                self._handles[shard_id].close()
+
+    def score_pairs(self, units) -> list[list]:
+        """Score standing-query pairs on the workers owning them.
+
+        ``units`` are one update's ``(query, candidate ids, options)``
+        triples; each shard gets one ``score_pairs`` op with its owned
+        part of every unit and scores it from its live slice.  A shard
+        that cannot answer even after a respawn falls back to the
+        coordinator engine, so an update is never silently lost.  The
         returned :class:`Candidate` entries are bit-identical to a
         coordinator-local score — per-pair statistics depend only on
         (query, candidate, options), regardless of which process runs
         them (the merge-correctness argument in
         :mod:`repro.service.shard`).
         """
-        groups: dict[int, list[Trajectory]] = {}
-        for trajectory in candidates:
-            shard_id = self.ring.shard_for(f"id:{trajectory.traj_id}")
-            groups.setdefault(shard_id, []).append(trajectory)
+        by_id = self._pool.by_id
+        work: dict[int, list[tuple[int, tuple]]] = {}
+        for index, (query, ids, options) in enumerate(units):
+            groups: dict[int, list[str]] = {}
+            for cid in ids:
+                groups.setdefault(self._owner(by_id[cid]), []).append(cid)
+            for shard_id, group in groups.items():
+                work.setdefault(shard_id, []).append(
+                    (index, (query, group, options))
+                )
         futures = {
             shard_id: self._submit(
-                shard_id,
-                "score_pairs",
-                {"query": query, "candidates": group, "options": options},
+                shard_id, "score_pairs", [unit for _, unit in items]
             )
-            for shard_id, group in groups.items()
+            for shard_id, items in work.items()
         }
-        scored = []
+        scored: list[list] = [[] for _ in units]
         for shard_id, future in futures.items():
+            items = work[shard_id]
             try:
-                scored.extend(future.result())
+                replies = future.result()
             except WorkerCrashedError:
                 self._state.metrics.inc("score_pairs_fallback_total")
-                result = self._state.engine.link_requests(
-                    [LinkRequest(
-                        query,
-                        candidates=tuple(groups[shard_id]),
-                        options=options,
-                    )]
-                )[0]
-                scored.extend(result.candidates)
+                replies = score_units(
+                    self._state.engine, by_id, [unit for _, unit in items]
+                )
+            for (index, _), reply in zip(items, replies):
+                scored[index].extend(reply)
         return scored
 
     # ------------------------------------------------------------------
@@ -521,7 +560,7 @@ class ShardSupervisor:
             entry.last_used_at = now
             # The query history only replays into a respawned worker;
             # the in-process shard is never respawned.
-            if wire.query_records and self._plans is not None:
+            if wire.query_records and self.n_shards > 1:
                 entry.query_history.append(
                     [list(map(float, r)) for r in wire.query_records]
                 )
@@ -733,74 +772,24 @@ class ShardSupervisor:
         for shard_id in range(self.n_shards):
             self._call(shard_id, "ping")
 
-    def plan_drift(self) -> bool:
-        """Whether the coordinator pool drifted from the frozen plan.
-
-        The shard plan is frozen at fork time, but streaming flushes
-        and evictions update the coordinator pool in place — so
-        pool-backed ``/v1/link`` scatters keep serving the fork-time
-        snapshot while standing queries track the live pool.  Drift is
-        either an id-list change *or* a store-generation change: a
-        flush appending records to already-stored ids mutates pool
-        content without touching the id list.  The transition into
-        staleness emits one structured warning (and bumps
-        ``shard_plan_drift_total``); ``/v1/metrics`` gauges the
-        current state as ``ftl_shard_plan_stale``.  Restart the daemon
-        to re-shard, as documented in ``docs/service.md``.  The
-        in-process shard links the live pool, so it never drifts.
-        """
-        if self._plans is None:
-            return False
-        current = [t.traj_id for t in self._state.pool]
-        generation = (
-            self._state.store.generation
-            if self._state.store is not None
-            else None
-        )
-        stale = (
-            current != self._pool_ids or generation != self._plan_generation
-        )
-        if stale and not self._plan_stale:
-            self._state.metrics.inc("shard_plan_drift_total")
-            _LOG.warning(
-                "shard_plan_stale",
-                extra={"ftl_fields": {
-                    "frozen_pool": len(self._pool_ids),
-                    "current_pool": len(current),
-                    "plan_generation": self._plan_generation,
-                    "store_generation": generation,
-                }},
-            )
-        self._plan_stale = stale
-        return stale
-
     def worker_status(self) -> list[dict]:
         """Live per-worker status for ``/v1/healthz`` (active ping)."""
         status = []
         for shard_id in range(self.n_shards):
             try:
-                reply = self._call(shard_id, "ping")
-                status.append(
-                    {
-                        "shard": shard_id,
-                        "pid": reply["pid"],
-                        "alive": True,
-                        "pool_size": reply["pool_size"],
-                        "sessions": reply["sessions"],
-                        "restarts": self._restarts[shard_id],
-                    }
-                )
+                reply = dict(self._call(shard_id, "ping"), alive=True)
             except WorkerCrashedError:
-                status.append(
-                    {
-                        "shard": shard_id,
-                        "pid": self._handles[shard_id].pid,
-                        "alive": False,
-                        "pool_size": len(self._plans[shard_id].global_indices),
-                        "sessions": 0,
-                        "restarts": self._restarts[shard_id],
-                    }
-                )
+                # A dead worker holds no slice and no sessions.
+                reply = {"pid": self._handles[shard_id].pid, "alive": False,
+                         "pool_size": 0, "sessions": 0}
+            status.append({
+                "shard": shard_id,
+                "pid": reply["pid"],
+                "alive": reply["alive"],
+                "pool_size": reply["pool_size"],
+                "sessions": reply["sessions"],
+                "restarts": self._restarts[shard_id],
+            })
         return status
 
     def metrics_payloads(self) -> dict[int, dict]:

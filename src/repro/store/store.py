@@ -559,7 +559,7 @@ class TrajectoryStore:
         write_json_atomic(models_dir / info.filename, artifact.to_dict())
         # Model registration leaves the data snapshot untouched, so the
         # generation is deliberately *not* bumped: a persisted blocking
-        # index stays valid and shard plans see no drift.
+        # index stays valid.
         manifest = replace(
             self._manifest,
             format_version=FORMAT_VERSION,

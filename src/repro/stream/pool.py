@@ -22,10 +22,17 @@ list equal to a fresh ``load()`` — same ids, same order, same arrays
 
 Entries that a delta does not touch stay the same objects, so their
 cached content digests (and the profiles keyed on them) carry over.
+
+**Slices.**  A sharded daemon's workers each hold a :meth:`subset
+<ResidentPool.subset>` (the ids one shard owns) and apply that shard's
+deltas of every flush, in order, and every eviction cutoff to it.  A
+subset keeps every rank the pool knew and meets its new ids in the
+pool's order, so it stays the owner-filtered ``load()``.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 
 import numpy as np
@@ -43,23 +50,35 @@ class ResidentPool:
     must start as that store's ``load()`` for the bit-identity above.
     ``by_id`` maps each listed id to its entry and ``rank`` maps every
     id ever seen to its first-seen rank; ranks are never dropped, so a
-    reader may look one up without a lock.
+    reader may look one up without a lock.  ``generation`` counts the
+    merges and evictions; ``lock`` keeps :meth:`subset` off half an update.
     """
 
     def __init__(self, trajectories: list, known_ids=()) -> None:
         self.trajectories = trajectories
+        self.lock = threading.Lock()
+        self.generation = 0
         self.reset(trajectories, known_ids)
 
     def reset(self, trajectories, known_ids=()) -> None:
         """Replace the whole pool (startup and the recovery path)."""
-        self.trajectories[:] = trajectories
-        rank: dict[str, int] = {}
-        for traj_id in known_ids:
-            rank.setdefault(str(traj_id), len(rank))
-        for traj in self.trajectories:
-            rank.setdefault(str(traj.traj_id), len(rank))
-        self.by_id = {str(t.traj_id): t for t in self.trajectories}
-        self.rank = rank
+        with self.lock:
+            self.trajectories[:] = trajectories
+            rank: dict[str, int] = {}
+            for traj_id in known_ids:
+                rank.setdefault(str(traj_id), len(rank))
+            for traj in self.trajectories:
+                rank.setdefault(str(traj.traj_id), len(rank))
+            self.by_id = {str(t.traj_id): t for t in self.trajectories}
+            self.rank = rank
+
+    def subset(self, keep) -> ResidentPool:
+        """The entries ``keep(trajectory)`` selects, at this generation."""
+        with self.lock:
+            part = ResidentPool([t for t in self.trajectories if keep(t)])
+            part.rank = dict(self.rank)
+            part.generation = self.generation
+        return part
 
     def _position(self, traj_id: str) -> int:
         rank = self.rank
@@ -76,29 +95,33 @@ class ResidentPool:
         delta whose records all lie behind the watermark changes no
         entry but still fixes its id's rank.
         """
-        for delta in deltas:
-            traj_id = str(delta.traj_id)
-            self.rank.setdefault(traj_id, len(self.rank))
-            ts, xs, ys = delta.ts, delta.xs, delta.ys
-            if retain_after:
-                a = int(np.searchsorted(ts, retain_after, side="left"))
-                ts, xs, ys = ts[a:], xs[a:], ys[a:]
-            if not len(ts):
-                continue
-            old = self.by_id.get(traj_id)
-            if old is None:
-                entry = Trajectory.from_arrays_unchecked(ts, xs, ys, traj_id)
-                self.trajectories.insert(self._position(traj_id), entry)
-            else:
-                entry = Trajectory(
-                    np.concatenate([old.ts, ts]),
-                    np.concatenate([old.xs, xs]),
-                    np.concatenate([old.ys, ys]),
-                    traj_id,
-                    sort=True,
-                )
-                self.trajectories[self._position(traj_id)] = entry
-            self.by_id[traj_id] = entry
+        with self.lock:
+            for delta in deltas:
+                traj_id = str(delta.traj_id)
+                self.rank.setdefault(traj_id, len(self.rank))
+                ts, xs, ys = delta.ts, delta.xs, delta.ys
+                if retain_after:
+                    a = int(np.searchsorted(ts, retain_after, side="left"))
+                    ts, xs, ys = ts[a:], xs[a:], ys[a:]
+                if not len(ts):
+                    continue
+                old = self.by_id.get(traj_id)
+                if old is None:
+                    entry = Trajectory.from_arrays_unchecked(
+                        ts, xs, ys, traj_id
+                    )
+                    self.trajectories.insert(self._position(traj_id), entry)
+                else:
+                    entry = Trajectory(
+                        np.concatenate([old.ts, ts]),
+                        np.concatenate([old.xs, xs]),
+                        np.concatenate([old.ys, ys]),
+                        traj_id,
+                        sort=True,
+                    )
+                    self.trajectories[self._position(traj_id)] = entry
+                self.by_id[traj_id] = entry
+            self.generation += 1
 
     def evict(self, cutoff_t: float) -> list[str]:
         """Drop records with ``t < cutoff_t``; returns the ids that lost any.
@@ -107,19 +130,21 @@ class ResidentPool:
         """
         affected: list[str] = []
         kept: list[Trajectory] = []
-        for traj in self.trajectories:
-            if len(traj) and float(traj.ts[0]) < cutoff_t:
-                traj_id = str(traj.traj_id)
-                affected.append(traj_id)
-                a = int(np.searchsorted(traj.ts, cutoff_t, side="left"))
-                if a == len(traj):
-                    del self.by_id[traj_id]
-                    continue
-                traj = Trajectory.from_arrays_unchecked(
-                    traj.ts[a:], traj.xs[a:], traj.ys[a:], traj_id
-                )
-                self.by_id[traj_id] = traj
-            kept.append(traj)
-        if affected:
-            self.trajectories[:] = kept
+        with self.lock:
+            for traj in self.trajectories:
+                if len(traj) and float(traj.ts[0]) < cutoff_t:
+                    traj_id = str(traj.traj_id)
+                    affected.append(traj_id)
+                    a = int(np.searchsorted(traj.ts, cutoff_t, side="left"))
+                    if a == len(traj):
+                        del self.by_id[traj_id]
+                        continue
+                    traj = Trajectory.from_arrays_unchecked(
+                        traj.ts[a:], traj.xs[a:], traj.ys[a:], traj_id
+                    )
+                    self.by_id[traj_id] = traj
+                kept.append(traj)
+            if affected:
+                self.trajectories[:] = kept
+            self.generation += 1
         return affected

@@ -24,6 +24,10 @@ All hooks run under one re-entrant lock so store appends, log writes,
 pool updates and merges never interleave; the hooks additionally
 take the (injectable) engine lock that serialises scoring against the
 daemon's batch thread, always engine lock first, runtime lock second.
+
+A daemon passes its shard supervisor as ``shards``: each pool update
+goes on to the shards' slices before standing queries are re-scored
+there (``merge_pool``/``evict_pool``/``reload_pool``, ``score_pairs``).
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ class StreamRuntime:
     """Continuous-linkage state for one daemon over one store.
 
     ``pool`` is the daemon's resident candidate list as loaded from
-    ``store``; the runtime keeps it equal to ``store.load()`` by
-    applying every flush and eviction to it in place
-    (:class:`~repro.stream.pool.ResidentPool`).
+    ``store``, or the :class:`~repro.stream.pool.ResidentPool` over it;
+    the runtime keeps it equal to ``store.load()`` by applying every
+    flush and eviction to it in place.
     """
 
     def __init__(
@@ -60,13 +64,16 @@ class StreamRuntime:
         options,
         metrics=None,
         clock=time.monotonic,
-        scorer=None,
+        shards=None,
         engine_lock=None,
         merge_min_blocks: int = DEFAULT_MERGE_MIN_BLOCKS,
     ) -> None:
         self._store = store
         self._engine = engine
-        self._pool = ResidentPool(pool, store.ids())
+        if not isinstance(pool, ResidentPool):
+            pool = ResidentPool(pool, store.ids())
+        self._pool = pool
+        self._shards = shards
         self._metrics = metrics
         self._clock = clock
         self._lock = threading.RLock()
@@ -85,7 +92,7 @@ class StreamRuntime:
             horizon_s=engine.config.horizon_s,
             metrics=metrics,
             clock=clock,
-            scorer=scorer,
+            scorer=shards.score_pairs if shards is not None else None,
         )
         if metrics is not None:
             # Pre-register so /metrics exposes the empty families before
@@ -201,6 +208,8 @@ class StreamRuntime:
                 changed = [str(t.traj_id) for t in live]
                 self._pool.reset(self._store.load(), self._store.ids())
                 self._pool_updated()
+                if self._shards is not None:
+                    self._shards.reload_pool()
                 self.registry.apply_update(
                     evicted_ids=changed, started_s=started
                 )
@@ -233,8 +242,11 @@ class StreamRuntime:
         block = self.delta_log.append_block(
             live, generation=generation, **self._params
         )
-        self._pool.merge(live, self._store.manifest.retain_after)
+        retain_after = self._store.manifest.retain_after
+        self._pool.merge(live, retain_after)
         self._pool_updated()
+        if self._shards is not None:
+            self._shards.merge_pool(live, retain_after)
         rescored = self.registry.apply_update(block=block, started_s=started)
         if self._metrics is not None:
             self._metrics.inc("stream_flushes_total")
@@ -256,8 +268,11 @@ class StreamRuntime:
             self.delta_log.record_eviction(
                 self._store.generation, cutoff_t
             )
-            affected = self._pool.evict(self._store.manifest.retain_after)
+            retain_after = self._store.manifest.retain_after
+            affected = self._pool.evict(retain_after)
             self._pool_updated()
+            if self._shards is not None:
+                self._shards.evict_pool(retain_after)
             self.registry.apply_update(
                 evicted_ids=affected, started_s=started
             )

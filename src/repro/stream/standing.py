@@ -44,6 +44,22 @@ def _candidate_wire(c: Candidate) -> dict:
     return c.to_dict()
 
 
+def score_units(
+    engine: LinkEngine, by_id: dict, units
+) -> list[list[Candidate]]:
+    """Score ``(query, candidate ids, options)`` units in one engine call:
+    per unit, the matched :class:`Candidate` objects of those ids."""
+    results = engine.link_requests([
+        LinkRequest(
+            query,
+            candidates=tuple(by_id[cid] for cid in ids),
+            options=options,
+        )
+        for query, ids, options in units
+    ])
+    return [list(result.candidates) for result in results]
+
+
 @dataclass
 class StandingQuery:
     """One registered query and its warm full scored set."""
@@ -68,11 +84,10 @@ class StandingQueryRegistry:
     (a plain list is wrapped in one); whoever applies a flush or
     eviction delta to it calls :meth:`apply_update` afterwards.
     Rankings break score ties by the pool's first-seen ranks, which
-    order the pool list.  ``scorer`` overrides how
-    changed pairs are scored — the sharded supervisor routes them to
-    the workers owning each candidate — and must return the engine's
-    ``Candidate`` objects for exactly the matched subset; ``None``
-    scores on the local engine.
+    order the pool list.  ``scorer`` overrides :func:`score_units` on
+    the local engine — the sharded supervisor routes the pairs to the
+    workers owning each candidate — and gets every query's changed
+    pairs of one update in one call.
     """
 
     def __init__(
@@ -94,7 +109,9 @@ class StandingQueryRegistry:
         self._horizon_s = float(horizon_s)
         self._metrics = metrics
         self._clock = clock
-        self._scorer = scorer
+        self._scorer = scorer or (
+            lambda units: score_units(self._engine, self._pool.by_id, units)
+        )
         self._event_buffer = int(event_buffer)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -268,6 +285,7 @@ class StandingQueryRegistry:
         total = 0
         with self._lock:
             by_id = self._pool.by_id
+            work = []
             for q in self._queries.values():
                 changed: dict[str, None] = {}
                 if block is not None:
@@ -277,25 +295,18 @@ class StandingQueryRegistry:
                         changed.setdefault(str(cid), None)
                 for cid in evicted_ids:
                     changed.setdefault(str(cid), None)
-                if not changed:
-                    continue
-                rescore = [cid for cid in changed if cid in by_id]
-                vanished = [cid for cid in changed if cid not in by_id]
-                fresh: list[Candidate] = []
-                if rescore:
-                    trajs = [by_id[cid] for cid in rescore]
-                    if self._scorer is not None:
-                        fresh = self._scorer(
-                            q.trajectory, trajs, q.full_options
-                        )
-                    else:
-                        fresh = list(self._engine.link_requests(
-                            [LinkRequest(
-                                q.trajectory,
-                                candidates=tuple(trajs),
-                                options=q.full_options,
-                            )]
-                        )[0].candidates)
+                if changed:
+                    rescore = [cid for cid in changed if cid in by_id]
+                    work.append((q, changed, rescore))
+            # Every query's changed pairs in one scorer call.
+            units = [
+                (q.trajectory, rescore, q.full_options)
+                for q, _, rescore in work
+                if rescore
+            ]
+            scored = iter(self._scorer(units))
+            for q, changed, rescore in work:
+                fresh = next(scored) if rescore else []
                 for cid in changed:
                     q.scored.pop(cid, None)
                 for c in fresh:
@@ -308,7 +319,7 @@ class StandingQueryRegistry:
                     "seq": q.seq,
                     "kind": "update",
                     "changed": sorted(rescore),
-                    "evicted": sorted(vanished),
+                    "evicted": sorted(cid for cid in changed if cid not in by_id),
                     "ranking": [
                         _candidate_wire(c) for c in self._ranking(q)
                     ],

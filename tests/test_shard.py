@@ -1,17 +1,17 @@
-"""Sharded serving: ring, partitioning, merge equivalence, prefork e2e.
+"""Sharded serving: ring, slices, merge equivalence, prefork e2e.
 
 The merge-equivalence property tests exercise the exact worker code
-(:func:`shard_link_matches`) and coordinator merge
-(:func:`merge_partials`) without forking; a real multi-worker
-:class:`BackgroundServer` then covers the fork/scatter/respawn path
-end to end, including a SIGKILLed worker.
+(:func:`shard_link_matches`) over the supervisor's pool slices and the
+coordinator merge (:func:`merge_partials`) without forking; a real
+multi-worker :class:`BackgroundServer` then covers the
+fork/scatter/respawn path end to end, including a SIGKILLed worker and
+store flushes and evictions reaching the workers' live slices.
 """
 
 import os
 import signal
 import threading
 
-import numpy as np
 import pytest
 
 from repro.core.engine import LinkEngine, LinkOptions, LinkRequest
@@ -25,12 +25,11 @@ from repro.service.shard import (
     HashRing,
     home_shard,
     merge_partials,
-    partition_pool,
-    plan_shards,
-    reindexed,
     shard_link_matches,
     stable_hash,
 )
+from repro.service.state import ServiceState
+from repro.service.supervisor import ShardSupervisor
 
 RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
 CELL_M = 1000.0
@@ -45,6 +44,12 @@ def engine(fitted_models):
 @pytest.fixture(scope="module")
 def pool(small_pair):
     return list(small_pair.q_db)
+
+
+def _supervisor(engine, pool, n_shards):
+    """An unstarted supervisor over ``pool``: its owners and slices."""
+    state = ServiceState(engine=engine, pool=list(pool), options=RANKING)
+    return ShardSupervisor(state, n_shards, cell_size_m=CELL_M), state
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +97,13 @@ class TestHashRing:
 
 class TestPartitioning:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
-    def test_disjoint_covering_ascending(self, pool, n_shards):
-        parts = partition_pool(pool, HashRing(n_shards), CELL_M)
+    def test_disjoint_covering_ascending(self, engine, pool, n_shards):
+        sup, state = _supervisor(engine, pool, n_shards)
+        rank = state.resident.rank
+        parts = [
+            [rank[str(t.traj_id)] for t in sup.shard_pool(s).trajectories]
+            for s in range(n_shards)
+        ]
         assert len(parts) == n_shards
         flat = [i for part in parts for i in part]
         assert sorted(flat) == list(range(len(pool)))
@@ -110,12 +120,41 @@ class TestPartitioning:
             ring = HashRing(n_shards)
             assert home_shard(ring, a, CELL_M) == home_shard(ring, b, CELL_M)
 
-    def test_reindexed_shares_arrays(self, pool):
-        clone = reindexed(pool[0], 7)
-        assert clone.traj_id == 7
-        assert np.shares_memory(clone.ts, pool[0].ts)
-        assert np.shares_memory(clone.xs, pool[0].xs)
-        assert len(clone) == len(pool[0])
+    def test_slices_share_pool_entries(self, engine, pool):
+        # A slice lists the coordinator's own entries under their real
+        # ids: no copy of the record arrays, no re-identification.
+        sup, state = _supervisor(engine, pool, 2)
+        by_id = state.resident.by_id
+        for s in range(2):
+            for entry in sup.shard_pool(s).trajectories:
+                assert entry is by_id[str(entry.traj_id)]
+
+
+class TestLiveSlices:
+    def test_slice_forked_mid_broadcast_skips_the_delta_it_holds(
+        self, engine, pool
+    ):
+        # The coordinator merged a flush and a worker was re-forked from
+        # the live pool before its pool_delta arrived: the retried op
+        # carries a generation the new slice already holds, so the
+        # records are not appended twice.
+        from repro.service.shard import _dispatch_op
+
+        sup, state = _supervisor(engine, pool, 2)
+        old = pool[0]
+        delta = Trajectory(old.ts + 1.0, old.xs, old.ys, old.traj_id)
+        state.resident.merge([delta])
+        owner = sup._owner(delta)
+        forked = sup._worker_state(sup.shard_pool(owner))
+        payload = {
+            "generation": state.resident.generation,
+            "deltas": [delta],
+            "retain_after": 0.0,
+        }
+        _dispatch_op(forked, owner, "pool_delta", payload)
+        owned = [t for t in state.pool if sup._owner(t) == owner]
+        assert forked.pool == owned
+        assert len(forked.resident.by_id[str(old.traj_id)]) == 2 * len(old)
 
 
 class TestMergeEquivalence:
@@ -142,18 +181,19 @@ class TestMergeEquivalence:
             requests, default_pool=pool, options=RANKING
         )
 
-        plans = plan_shards(pool, HashRing(n_shards), CELL_M)
+        sup, state = _supervisor(engine, pool, n_shards)
         units = [(query, options) for query in queries]
         partials = [
-            shard_link_matches(engine, list(plan.local_pool), units, RANKING)
-            for plan in plans
+            shard_link_matches(
+                engine, sup.shard_pool(s).trajectories, units, RANKING
+            )
+            for s in range(n_shards)
         ]
-        pool_ids = [t.traj_id for t in pool]
         resolved = options if options is not None else RANKING
         merged = [
             merge_partials(
                 [partial[j] for partial in partials],
-                pool_ids,
+                state.resident.rank,
                 query.traj_id,
                 resolved,
             )
@@ -172,15 +212,18 @@ class TestMergeEquivalence:
             default_pool=pool,
             options=RANKING,
         )[0]
-        plans = plan_shards(pool, HashRing(4), CELL_M)
+        sup, state = _supervisor(engine, pool, 4)
         partials = [
             shard_link_matches(
-                engine, list(plan.local_pool), [(queries[0], options)], RANKING
+                engine,
+                sup.shard_pool(s).trajectories,
+                [(queries[0], options)],
+                RANKING,
             )[0]
-            for plan in plans
+            for s in range(4)
         ]
         got = merge_partials(
-            partials, [t.traj_id for t in pool], queries[0].traj_id, options
+            partials, state.resident.rank, queries[0].traj_id, options
         )
         assert got == expected
         assert len(got) <= 2
@@ -440,50 +483,12 @@ class TestCoordinatorEngineLock:
 
 
 # ----------------------------------------------------------------------
-# Coordinator-side unit coverage (no fork): plan-drift detection and
-# the bounded rehydration ledger.
+# Coordinator-side unit coverage (no fork): the bounded rehydration
+# ledger.
 # ----------------------------------------------------------------------
-class TestPlanDriftDetection:
-    def test_generation_only_change_flags_drift(self, engine, pool,
-                                                tmp_path):
-        # An eviction that only masks records mutates pool *content*
-        # while the id list (and its order) stays identical; drift must
-        # still be flagged via the store generation recorded at plan
-        # time.
-        from repro.service.state import ServiceState
-        from repro.service.supervisor import ShardSupervisor
-        from repro.store import TrajectoryStore
-
-        store = TrajectoryStore.create(tmp_path / "drift-store", pool)
-        state = ServiceState(
-            engine=engine, pool=list(store.load()), options=RANKING,
-            store=store,
-        )
-        sup = ShardSupervisor(state, 2)
-        assert sup.plan_drift() is False
-        # cutoff just past the earliest record: at least one record is
-        # masked, and (checked below) no trajectory vanishes entirely,
-        # so the id list is untouched.
-        cutoff = min(float(t.ts[0]) for t in state.pool) + 1e-6
-        assert all(float(t.ts[-1]) >= cutoff for t in state.pool)
-        assert store.expire_before(cutoff) >= 1
-        state.pool[:] = list(state.store.load())
-        state.metrics.inc("pool_refreshes_total")
-        assert [t.traj_id for t in state.pool] == sup._pool_ids
-        assert sup.plan_drift() is True
-        assert state.metrics.counter("shard_plan_drift_total") == 1
-        # steady state: no repeat warning/counter while still stale
-        assert sup.plan_drift() is True
-        assert state.metrics.counter("shard_plan_drift_total") == 1
-
-
 class TestSessionLedgerBounds:
     def _supervisor(self, engine, pool):
-        from repro.service.state import ServiceState
-        from repro.service.supervisor import ShardSupervisor
-
-        state = ServiceState(engine=engine, pool=list(pool), options=RANKING)
-        return ShardSupervisor(state, 2), state
+        return _supervisor(engine, pool, 2)
 
     def test_eviction_cutoff_compacts_query_history(self, engine, pool):
         from repro.service.supervisor import _SessionEntry
@@ -525,8 +530,8 @@ class TestSessionLedgerBounds:
 
 
 # ----------------------------------------------------------------------
-# Streaming over a store-backed sharded daemon: frozen-plan drift
-# detection and worker-session rehydration.  The single-process
+# Streaming over a store-backed sharded daemon: live worker slices and
+# worker-session rehydration.  The single-process
 # streaming surface is covered in tests/test_stream.py.
 # ----------------------------------------------------------------------
 @pytest.fixture()
@@ -551,35 +556,185 @@ class TestShardedStreaming:
             for t, x, y in zip(query.ts[:n], query.xs[:n], query.ys[:n])
         ]
 
-    def test_flush_updates_standing_query_and_flags_plan_drift(
+    def test_flush_and_evict_reach_the_worker_slices(
         self, stream_sharded_server, fitted_models, small_pair
     ):
+        """Forked workers link the live pool: after a flush of a new
+        candidate, a flush onto an existing id and an eviction,
+        ``/v1/link``, ``/v1/assign`` and a standing query all equal a
+        fresh engine over ``store.load()``, and the shards'
+        ``n_candidates`` sum to the pool size.  A worker SIGKILLed after
+        a flush is re-forked with the flushed records in its slice."""
+        from repro.assign import build_cost_graph, solve
+        from repro.service.protocol import trajectory_to_wire
+
         server, store = stream_sharded_server
         mr, ma = fitted_models
-        query = small_pair.p_db[sorted(small_pair.truth)[0]]
+        queries = [
+            small_pair.p_db[qid] for qid in sorted(small_pair.truth)[:3]
+        ]
+        query = queries[0]
+
+        def check(c, where):
+            current = list(store.load())
+            fresh = LinkEngine(mr, ma, options=RANKING)
+            expected = fresh.link_batch(queries, current)
+            assert [c.link(q) for q in queries] == expected, where
+            envelope = c.link_raw({"query": trajectory_to_wire(query)})
+            assert sum(
+                s["n_candidates"] for s in envelope["shards"]
+            ) == len(current), where
+            assert sum(
+                w["pool_size"] for w in c.healthz()["workers"]
+            ) == len(current), where
+            local = solve(
+                build_cost_graph(fresh, queries, current, options=RANKING),
+                backend="auto",
+            )
+            data = c.assign(queries)
+            assert {
+                m["query_id"]: (m["candidate_id"], m["score"])
+                for m in data["matches"]
+            } == {
+                qid: (cid, local.scores[qid])
+                for qid, cid in dict(local.pairs).items()
+            }, where
+            return expected[0]
+
+        def ids(result):
+            return [str(cand.candidate_id) for cand in result.candidates]
+
+        t_lo = float(query.ts[0])
+        t_hi = float(query.ts[-1])
+        cutoff = t_lo + (t_hi - t_lo) / 4.0
+        late = [i for i in range(len(query)) if query.ts[i] >= cutoff]
+        existing = str(next(t.traj_id for t in store.load()))
         with ServiceClient(*server.address, timeout_s=60) as c:
-            assert "ftl_shard_plan_stale 0" in c.metrics_text()
+            check(c, "startup")
             assert c.register_query(query, query_id="sq")["seq"] == 1
+
             near = self._near_records(query)
-            got = c.ingest("drift", candidate_records={"cNew": near},
+            got = c.ingest("live", candidate_records={"cNew": near},
                            decide=False, flush=True)
             assert got["flushed_records"] == len(near)
-            watched = c.watch("sq", since=1, wait_ms=5_000)
-            assert watched["seq"] == 2
-            [event] = watched["events"]
+            assert "cNew" in ids(check(c, "new candidate"))
+            [event] = c.watch("sq", since=1, wait_ms=5_000)["events"]
             assert "cNew" in event["changed"]
-            # standing rankings are scored against the *refreshed* pool
-            # (workers receive the trajectories on the wire), so they
-            # stay bit-identical to a from-scratch single-process run
-            # even though the frozen shard plan no longer matches.
             fresh = LinkEngine(mr, ma, options=RANKING).link_batch(
                 [query], list(store.load())
             )[0]
             assert event["ranking"] == [
                 cand.to_dict() for cand in fresh.candidates
             ]
-            # ...and the drift is surfaced, not hidden: gauge flips to 1.
-            assert "ftl_shard_plan_stale 1" in c.metrics_text()
+
+            onto = [
+                (float(query.ts[i]) + 20.0, float(query.xs[i]),
+                 float(query.ys[i]))
+                for i in late[:3]
+            ]
+            c.ingest("live", candidate_records={existing: onto},
+                     decide=False, flush=True)
+            assert existing in ids(check(c, "flush onto an existing id"))
+
+            c.ingest("live", expire_before=cutoff, decide=False)
+            assert min(float(t.ts[0]) for t in store.load()) >= cutoff
+            check(c, "eviction")
+
+            kill = [
+                (float(query.ts[i]), float(query.xs[i]) + 10.0,
+                 float(query.ys[i]))
+                for i in late[:4]
+            ]
+            c.ingest("live", candidate_records={"cKill": kill},
+                     decide=False, flush=True)
+            owner = server.server._supervisor._owners["cKill"]
+            victim = c.healthz()["workers"][owner]
+            os.kill(victim["pid"], signal.SIGKILL)
+            assert "cKill" in ids(check(c, "respawned owner"))
+            after = c.healthz()["workers"][owner]
+            assert after["pid"] != victim["pid"] and after["alive"]
+            assert c.metrics()["ftl_worker_restarts_total"] >= 1
+
+    def test_link_scatters_never_see_half_a_flush(
+        self, stream_sharded_server, fitted_models, small_pair, monkeypatch
+    ):
+        """Links racing flushes whose deltas land on both workers: each
+        ranking equals a fresh engine over the pool before or after
+        some flush, never one worker's slice updated and not the
+        other's.  Worker 1's delta is sent 50 ms after worker 0's, so a
+        scatter not serialised against the broadcast would see the mix.
+        More client threads than cores, short switch interval."""
+        import sys
+        import time
+
+        from repro.config import FTLConfig
+        from repro.service.shard import ShardHandle
+
+        call = ShardHandle.call
+
+        def late_on_one(handle, op, payload=None):
+            if op == "pool_delta" and handle.shard_id == 1:
+                time.sleep(0.05)
+            return call(handle, op, payload)
+
+        monkeypatch.setattr(ShardHandle, "call", late_on_one)
+        server, store = stream_sharded_server
+        mr, ma = fitted_models
+        query = small_pair.p_db[sorted(small_pair.truth)[0]]
+        ring, cell = HashRing(2), FTLConfig().shard_cell_size_m
+
+        def placed(traj_id, shard):
+            # The query's records shifted east until the home cell
+            # falls on ``shard``.
+            for dx in range(0, 200_000, 1_000):
+                traj = Trajectory(query.ts, query.xs + dx, query.ys, traj_id)
+                if home_shard(ring, traj, cell) == shard:
+                    return traj
+            raise AssertionError("no home cell on that shard")
+
+        states = [list(store.load())]
+        results = []
+        stop = threading.Event()
+
+        def linker():
+            with ServiceClient(*server.address, timeout_s=60) as c:
+                while not stop.is_set():
+                    results.append(c.link(query))
+
+        threads = [threading.Thread(target=linker) for _ in range(4)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            with ServiceClient(*server.address, timeout_s=60) as c:
+                for i in range(4):
+                    flush = {
+                        f"{side}{i}": [
+                            (float(t), float(x), float(y))
+                            for t, x, y in zip(traj.ts, traj.xs, traj.ys)
+                        ]
+                        for side, traj in (
+                            ("a", placed(f"a{i}", 0)),
+                            ("b", placed(f"b{i}", 1)),
+                        )
+                    }
+                    c.ingest("race", candidate_records=flush, decide=False,
+                             flush=True)
+                    states.append(list(store.load()))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results
+        owners = server.server._supervisor._owners
+        assert {owners[f"a{i}"] for i in range(4)} == {0}
+        assert {owners[f"b{i}"] for i in range(4)} == {1}
+        fresh = LinkEngine(mr, ma, options=RANKING)
+        allowed = [fresh.link_batch([query], pool)[0] for pool in states]
+        assert all(result in allowed for result in results)
 
     def test_killed_worker_rehydrates_flushed_sessions(
         self, stream_sharded_server, small_pair

@@ -39,7 +39,9 @@ from repro.errors import (
 from repro.geo.units import kph_to_mps
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer, ServerConfig
-from repro.service.state import Metrics
+from repro.service.shard import _dispatch_op
+from repro.service.state import Metrics, ServiceState
+from repro.service.supervisor import ShardSupervisor
 from repro.store import TrajectoryStore
 from repro.store.stindex import SpatioTemporalIndex
 from repro.stream import (
@@ -431,13 +433,57 @@ _STEP = st.one_of(
 
 
 def _assert_pool_is_load(pool, store, where):
-    loaded = list(store.load())
+    _assert_same_pool(pool, list(store.load()), where)
+
+
+def _assert_same_pool(pool, loaded, where):
     assert [t.traj_id for t in pool] == [t.traj_id for t in loaded], where
     for got, want in zip(pool, loaded):
         for col in ("ts", "xs", "ys"):
             a, b = getattr(got, col), getattr(want, col)
             assert a.dtype == b.dtype, (where, got.traj_id, col)
             assert a.tobytes() == b.tobytes(), (where, got.traj_id, col)
+
+
+class _InlineShard:
+    """A forked worker's op dispatch, run on the caller's thread over
+    the worker's own state (its pool slice), with no fork or socket."""
+
+    broken = False
+
+    def __init__(self, state, shard_id):
+        self.state, self.shard_id = state, shard_id
+
+    def call(self, op, payload=None):
+        return _dispatch_op(self.state, self.shard_id, op, payload)
+
+    def close(self):
+        pass
+
+
+def _pool_store(root, rng):
+    db = TrajectoryDatabase(name="pool-prop")
+    for i in range(5):
+        traj = _random_traj(rng, int(rng.integers(1, 6)), f"c{i}")
+        db.add(Trajectory(np.round(traj.ts / 50.0) * 50.0, traj.xs,
+                          traj.ys, traj.traj_id, sort=True))
+    return TrajectoryStore.create(root / "s", db)
+
+
+def _run_step(runtime, store, rng, kind, arg):
+    watermark = store.manifest.retain_after
+    if kind == "flush":
+        deltas = []
+        for traj_id, n, where in arg:
+            lo = watermark - 300.0 + where * 2_000.0
+            ts = np.round(rng.uniform(lo, lo + 400.0, n) / 50.0) * 50.0
+            deltas.append(Trajectory(
+                np.sort(ts), rng.uniform(-1e4, 1e4, n),
+                rng.uniform(-1e4, 1e4, n), traj_id,
+            ))
+        runtime.append_flush(deltas)
+    else:
+        runtime.evict_before(watermark + arg * 1_500.0)
 
 
 class TestResidentPoolMatchesLoad:
@@ -453,32 +499,66 @@ class TestResidentPoolMatchesLoad:
         to 50 s) so the stable merge order is exercised."""
         mr, ma = fitted_models
         rng = np.random.default_rng(seed)
-        root = tmp_path_factory.mktemp("pool")
-        db = TrajectoryDatabase(name="pool-prop")
-        for i in range(5):
-            traj = _random_traj(rng, int(rng.integers(1, 6)), f"c{i}")
-            db.add(Trajectory(np.round(traj.ts / 50.0) * 50.0, traj.xs,
-                              traj.ys, traj.traj_id, sort=True))
-        store = TrajectoryStore.create(root / "s", db)
+        store = _pool_store(tmp_path_factory.mktemp("pool"), rng)
         pool = list(store.load())
         runtime = StreamRuntime(
             store, LinkEngine(mr, ma, options=RANKING), pool, RANKING
         )
         for step, (kind, arg) in enumerate(steps):
-            watermark = store.manifest.retain_after
-            if kind == "flush":
-                deltas = []
-                for traj_id, n, where in arg:
-                    lo = watermark - 300.0 + where * 2_000.0
-                    ts = np.round(rng.uniform(lo, lo + 400.0, n) / 50.0) * 50.0
-                    deltas.append(Trajectory(
-                        np.sort(ts), rng.uniform(-1e4, 1e4, n),
-                        rng.uniform(-1e4, 1e4, n), traj_id,
-                    ))
-                runtime.append_flush(deltas)
-            else:
-                runtime.evict_before(watermark + arg * 1_500.0)
+            _run_step(runtime, store, rng, kind, arg)
             _assert_pool_is_load(pool, store, f"step {step}: {kind}")
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_STEP, min_size=1, max_size=8),
+           seed=st.integers(0, 2**16))
+    def test_shard_slices_are_owner_filtered_load_after_every_step(
+        self, tmp_path_factory, fitted_models, steps, seed
+    ):
+        """The same schedules through a 2-shard supervisor: each
+        worker's slice, patched by the delta broadcast, equals the
+        owner-filtered ``load()`` in the same order, owners never move,
+        and the slices together are the coordinator's pool.  A slice
+        taken afresh (what a respawned worker forks with) equals the
+        patched one, and after every step one shard continues from such
+        a fresh slice."""
+        mr, ma = fitted_models
+        rng = np.random.default_rng(seed)
+        store = _pool_store(tmp_path_factory.mktemp("slices"), rng)
+        engine = LinkEngine(mr, ma, options=RANKING)
+        state = ServiceState(
+            engine=engine, pool=list(store.load()), options=RANKING,
+            store=store,
+        )
+        sup = ShardSupervisor(state, 2, cell_size_m=5_000.0)
+        workers = [sup._worker_state(sup.shard_pool(s)) for s in range(2)]
+        sup._handles = [_InlineShard(w, s) for s, w in enumerate(workers)]
+        runtime = StreamRuntime(
+            store, engine, state.resident, RANKING, shards=sup
+        )
+        rank = state.resident.rank
+        for step, (kind, arg) in enumerate(steps):
+            pinned = dict(sup._owners)
+            _run_step(runtime, store, rng, kind, arg)
+            where = f"step {step}: {kind}"
+            assert all(sup._owners[i] == s for i, s in pinned.items()), where
+            loaded = list(store.load())
+            _assert_same_pool(state.pool, loaded, where)
+            for s, worker in enumerate(workers):
+                owned = [
+                    t for t in loaded if sup._owners[str(t.traj_id)] == s
+                ]
+                _assert_same_pool(worker.pool, owned, f"{where}, shard {s}")
+                _assert_same_pool(
+                    sup.shard_pool(s).trajectories, worker.pool, where
+                )
+            together = sorted(
+                (t for worker in workers for t in worker.pool),
+                key=lambda t: rank[str(t.traj_id)],
+            )
+            _assert_same_pool(together, state.pool, where)
+            respawned = step % 2
+            workers[respawned] = sup._worker_state(sup.shard_pool(respawned))
+            sup._handles[respawned] = _InlineShard(workers[respawned], respawned)
 
     def test_watch_readers_race_pool_updates(
         self, tmp_path, fitted_models, small_pair
