@@ -2,19 +2,18 @@
 
 One event loop accepts connections and parses requests; ``/v1/link``
 bodies are handed to the :class:`~repro.service.batcher.MicroBatcher`,
-which coalesces them into batches.  Every batch, assign, ingest,
-flush and session expiry goes through the
-:class:`~repro.service.supervisor.ShardSupervisor`: with
+which coalesces them into batches.  Every batch and assign goes
+through the :class:`~repro.service.supervisor.ShardSupervisor`: with
 ``workers == 1`` its one shard answers in-process; with
 ``workers > 1`` it forks one worker process per shard *before* the
 listener exists and each batch is scattered across the shards and
 merged (bit-identical to the one-shard ranking; see
-:mod:`repro.service.shard`).  ``/v1/ingest`` routes streaming record
+:mod:`repro.service.shard`).  ``/v1/ingest`` feeds streaming record
 updates into per-session
-:class:`~repro.core.streaming.StreamingLinker` instances (queries
-broadcast, candidates routed to their owning shard), and
-``/v1/healthz`` + ``/v1/metrics`` expose liveness and the
-counter/latency registry aggregated across shards.  A store-backed
+:class:`~repro.core.streaming.StreamingLinker` instances, held by the
+coordinator's :class:`~repro.service.state.ServiceState` at every
+worker count, and ``/v1/healthz`` + ``/v1/metrics`` expose liveness
+and the counter/latency registry aggregated across shards.  A store-backed
 daemon additionally runs the continuous-linkage pipeline of
 :class:`~repro.stream.runtime.StreamRuntime`: ``/v1/queries``
 registers standing queries whose top-k rankings are kept warm across
@@ -359,9 +358,10 @@ class LinkServer:
             _LOG.warning("background index delta merge failed", exc_info=True)
 
     def _sweep_shards(self) -> None:
-        """Periodic shard housekeeping (off the event loop: it pings)."""
+        """Periodic housekeeping (off the event loop: it pings shards
+        and may flush expiring sessions)."""
         self._supervisor.ensure_alive()
-        self._supervisor.expire_idle()
+        self._state.expire_idle_sessions()
 
     # ------------------------------------------------------------------
     # Batch execution (worker thread)
@@ -606,10 +606,11 @@ class LinkServer:
     async def _off_loop(self, fn, *args):
         """Run a blocking handler on the default executor.
 
-        Health/metrics/ingest make shard round trips (under the engine
-        lock, for the in-process shard), and a streaming daemon's
-        ingest flush runs the whole incremental pipeline (delta block
-        write + standing-query re-scoring); none may park the loop.
+        Health/metrics make shard round trips (under the engine lock,
+        for the in-process shard), ingest waits on the sessions lock,
+        and a streaming daemon's ingest flush runs the whole incremental
+        pipeline (delta block write + standing-query re-scoring); none
+        may park the loop.
         """
         return await asyncio.get_running_loop().run_in_executor(
             None, fn, *args
@@ -626,7 +627,6 @@ class LinkServer:
 
     def _handle_health(self) -> dict:
         data = self._state.health()
-        data["sessions"] = len(self._supervisor.sessions)
         data["workers"] = self._supervisor.worker_status()
         if self._state.stream is not None:
             data["standing_queries"] = len(self._state.stream.registry)
@@ -807,7 +807,7 @@ class LinkServer:
         )
         gauges = {
             "queue_depth": self._batcher.queue_depth,
-            "sessions": len(self._supervisor.sessions),
+            "sessions": len(self._state.sessions),
             "pool_size": len(self._state.pool),
             "model_drift": self._drift_gauge(evidence),
             "shard_count": self._supervisor.n_shards,
@@ -926,7 +926,7 @@ class LinkServer:
         wire = protocol.ingest_request_from_wire(
             protocol.parse_json_body(body, self._config.max_body_bytes)
         )
-        return self._supervisor.ingest(wire)
+        return self._state.serve_ingest(wire)
 
     # ------------------------------------------------------------------
     # Standing queries (/queries + /watch; see docs/streaming.md)

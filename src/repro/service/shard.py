@@ -88,7 +88,7 @@ class HashRing:
     Each shard contributes ``vnodes`` points on a 64-bit ring; a key is
     owned by the first point clockwise from its hash.  Adding or
     removing one shard relocates only the keys whose owning arc
-    changed (~1/n of them), which is what keeps ingest routing stable
+    changed (~1/n of them), which is what keeps pool ownership stable
     when a deployment resizes.
     """
 
@@ -198,11 +198,11 @@ def run_worker(
     """The blocking shard-worker loop (runs in the forked child).
 
     ``state`` is a :class:`~repro.service.state.ServiceState` whose
-    ``resident`` pool is the shard's live slice and whose sessions
-    buffer pending records when the coordinator has a store.  The loop
-    answers ``(op, payload)`` frames with ``("ok", result)`` or
-    ``("error", exception)`` and exits on socket EOF — the coordinator
-    closing its end (shutdown or crash) is the worker's cue to die.
+    ``resident`` pool is the shard's live slice.  The loop answers
+    ``(op, payload)`` frames with ``("ok", result)`` or ``("error",
+    exception)`` and exits on socket EOF — the coordinator closing its
+    end (shutdown or crash) is the worker's cue to die.  Workers hold
+    no ingest sessions: those live in the coordinator's state.
     """
     if spans:
         obs.bind_sink(obs.MetricsSpanSink(state.metrics))
@@ -234,7 +234,6 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
             "shard": shard_id,
             "pid": os.getpid(),
             "pool_size": len(state.pool),
-            "sessions": len(state.sessions),
         }
     if op == "link":
         started = time.monotonic()
@@ -248,35 +247,6 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
             "elapsed_ms": round((time.monotonic() - started) * 1e3, 3),
             "matches": matches,
         }
-    if op == "ingest":
-        entry = state.ingest(
-            payload["session"],
-            payload["query_records"],
-            payload["candidate_records"],
-            expire_before=payload["expire_before"],
-        )
-        # The coordinator reassembles the ingest response counts from
-        # these: query records are broadcast (any shard knows the
-        # retained count), candidates are partitioned (counts sum).
-        return {
-            "shard": shard_id,
-            "n_candidates": entry.linker.n_candidates,
-            "n_query_records": entry.linker.n_query_records,
-        }
-    if op == "decisions":
-        entry = state.sessions.get(payload)
-        if entry is None:
-            return []
-        return [
-            {
-                "candidate_id": d.candidate_id,
-                "same_person": d.same_person,
-                "log_posterior_ratio": d.log_posterior_ratio,
-                "n_mutual": d.n_mutual,
-                "n_incompatible": d.n_incompatible,
-            }
-            for d in entry.linker.decisions()
-        ]
     if op == "pool_delta":
         resident = state.resident
         if payload["generation"] > resident.generation:
@@ -290,11 +260,6 @@ def _dispatch_op(state, shard_id: int, op: str, payload) -> object:
         # Standing-query re-scoring of the changed pairs this shard
         # owns, from its live slice.
         return score_units(state.engine, state.resident.by_id, payload)
-    if op == "take_pending":
-        return state.take_pending(payload)
-    if op == "drop_session":
-        state.sessions.pop(payload, None)
-        return {"shard": shard_id}
     if op == "metrics":
         counters, histograms = state.metrics.snapshots()
         return {

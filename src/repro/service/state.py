@@ -2,8 +2,10 @@
 
 Everything the request handlers touch lives here, behind plain method
 calls with an injectable clock, so the state machine (session creation,
-idle-TTL garbage collection, counter accounting) is unit-testable
-without an event loop.
+flushes, idle-TTL garbage collection, counter accounting) is
+unit-testable without an event loop.  The coordinator's state holds
+the daemon's one ingest-session registry at every worker count; shard
+workers' states hold none.
 """
 
 from __future__ import annotations
@@ -218,13 +220,10 @@ class ServiceState:
     store:
         Optional :class:`~repro.store.TrajectoryStore` the daemon
         serves from.  When set, ingest sessions buffer their candidate
-        records until the coordinator flushes them into the store's
-        append log (:meth:`ShardSupervisor.flush_session
-        <repro.service.supervisor.ShardSupervisor.flush_session>`;
-        idle-expired sessions are flushed automatically, so ingested
-        evidence survives the daemon).  Shard states carry the
-        coordinator's store for exactly this: they never touch it, but
-        buffer only when there is somewhere to flush to.
+        records until :meth:`flush_session` appends them to the store's
+        append log (idle-expired sessions are flushed first, so
+        ingested evidence survives the daemon).  Shard worker states
+        have no store.
     provenance:
         Where the resident pool came from (store dir + manifest
         generation, parsed files, ...); reported by :meth:`health` and
@@ -254,6 +253,13 @@ class ServiceState:
     #: standing queries through the in-process shard, which takes it
     #: again on the same thread.
     engine_lock: threading.RLock = field(
+        default_factory=threading.RLock, repr=False, compare=False
+    )
+    #: Serialises the session registry across the executor threads
+    #: serving ``/v1/ingest`` and the sweeper.  Taken before
+    #: ``engine_lock``: a flush or eviction runs the stream runtime,
+    #: which takes the engine lock and then its own.
+    sessions_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
     started_at: float = field(init=False)
@@ -298,95 +304,155 @@ class ServiceState:
     # ------------------------------------------------------------------
     def session(self, session_id: str) -> IngestSession:
         """The named session, created on first use (and TTL-refreshed)."""
-        now = self.clock()
-        entry = self.sessions.get(session_id)
-        if entry is None:
-            linker = StreamingLinker(
-                self.engine.rejection_model,
-                self.engine.acceptance_model,
-                phi_r=self.options.phi_r,
-            )
-            entry = IngestSession(
-                session_id=session_id,
-                linker=linker,
-                created_at=now,
-                last_used_at=now,
-            )
-            self.sessions[session_id] = entry
-            self.metrics.inc("sessions_created_total")
-        entry.touch(now)
-        return entry
+        with self.sessions_lock:
+            now = self.clock()
+            entry = self.sessions.get(session_id)
+            if entry is None:
+                linker = StreamingLinker(
+                    self.engine.rejection_model,
+                    self.engine.acceptance_model,
+                    phi_r=self.options.phi_r,
+                )
+                entry = IngestSession(
+                    session_id=session_id,
+                    linker=linker,
+                    created_at=now,
+                    last_used_at=now,
+                )
+                self.sessions[session_id] = entry
+                self.metrics.inc("sessions_created_total")
+            entry.touch(now)
+            return entry
 
     def expire_idle_sessions(self, now: float | None = None) -> list[str]:
         """Drop sessions idle for longer than the TTL; returns their ids.
 
-        Called lazily from the ingest path and periodically by the
-        server's sweeper task.  Dropping the session releases every
+        The one expiry routine, called lazily from the ingest path and
+        periodically by the server's sweeper.  With a store attached an
+        expiring session is flushed first, so its buffered records are
+        persisted, never dropped.  Dropping the session releases every
         :class:`~repro.core.streaming.StreamingPairEvidence` it held, so
         a later request under the same id starts from zero evidence —
         its decisions then equal a fresh batch-path run over only the
         newly ingested records (covered by tests).
         """
-        if now is None:
-            now = self.clock()
-        expired = [
-            sid
-            for sid, entry in self.sessions.items()
-            if now - entry.last_used_at > self.session_ttl_s
-        ]
-        for sid in expired:
-            del self.sessions[sid]
-        if expired:
-            self.metrics.inc("sessions_expired_total", len(expired))
-        return expired
-
-    def take_pending(
-        self, session_id: str
-    ) -> dict[str, list[tuple[float, float, float]]]:
-        """Hand over (and clear) a session's buffered candidate records.
-
-        The shard half of a coordinator-driven flush: the shard
-        buffered the records and the coordinator — the only process
-        that writes the store — appends them.  Unknown
-        sessions yield ``{}`` (the worker may have been respawned since
-        the records were ingested).
-        """
-        entry = self.sessions.get(session_id)
-        if entry is None or not entry.pending:
-            return {}
-        pending, entry.pending = entry.pending, {}
-        return pending
+        with self.sessions_lock:
+            if now is None:
+                now = self.clock()
+            expired = [
+                sid
+                for sid, entry in self.sessions.items()
+                if now - entry.last_used_at > self.session_ttl_s
+            ]
+            for sid in expired:
+                if self.store is not None:
+                    self.flush_session(sid)
+                del self.sessions[sid]
+            if expired:
+                self.metrics.inc("sessions_expired_total", len(expired))
+            return expired
 
     def ingest(self, session_id: str, query_records, candidate_records,
                expire_before: float | None = None) -> IngestSession:
         """Route new records into a session's streaming linker."""
-        self.expire_idle_sessions()
-        entry = self.session(session_id)
-        linker = entry.linker
-        for t, x, y in query_records:
-            linker.observe_query(Record(t, x, y))
-            entry.n_records += 1
-        for cid, records in candidate_records.items():
-            if not linker.has_candidate(cid):
-                linker.add_candidate(cid)
-            buffer = (
-                entry.pending.setdefault(str(cid), [])
-                if self.store is not None
-                else None
-            )
-            for t, x, y in records:
-                linker.observe_candidate(cid, Record(t, x, y))
+        with self.sessions_lock:
+            self.expire_idle_sessions()
+            entry = self.session(session_id)
+            linker = entry.linker
+            for t, x, y in query_records:
+                linker.observe_query(Record(t, x, y))
                 entry.n_records += 1
-                if buffer is not None:
-                    buffer.append((float(t), float(x), float(y)))
-        total = len(query_records) + sum(
-            len(r) for r in candidate_records.values()
-        )
-        if total:
-            self.metrics.inc("ingested_records_total", total)
-        if expire_before is not None:
-            linker.expire_before(expire_before)
-        return entry
+            for cid, records in candidate_records.items():
+                if not linker.has_candidate(cid):
+                    linker.add_candidate(cid)
+                buffer = (
+                    entry.pending.setdefault(str(cid), [])
+                    if self.store is not None
+                    else None
+                )
+                for t, x, y in records:
+                    linker.observe_candidate(cid, Record(t, x, y))
+                    entry.n_records += 1
+                    if buffer is not None:
+                        buffer.append((float(t), float(x), float(y)))
+            total = len(query_records) + sum(
+                len(r) for r in candidate_records.values()
+            )
+            if total:
+                self.metrics.inc("ingested_records_total", total)
+            if expire_before is not None:
+                linker.expire_before(expire_before)
+            return entry
+
+    def flush_session(self, session_id: str) -> int:
+        """Append a session's buffered candidate records to the store.
+
+        Runs the stream runtime's flush pipeline when one is attached.
+        Returns the records appended; the buffer is cleared only once
+        the append committed.
+        """
+        with self.sessions_lock:
+            if self.store is None:
+                raise ValidationError(
+                    "no trajectory store attached to this daemon"
+                )
+            entry = self.sessions.get(session_id)
+            if entry is None:
+                raise ValidationError(f"unknown ingest session {session_id!r}")
+            if not entry.pending:
+                return 0
+            deltas = []
+            for cid, records in entry.pending.items():
+                ts, xs, ys = zip(*records)
+                deltas.append(Trajectory(ts, xs, ys, cid, sort=True))
+            if self.stream is not None:
+                flushed = self.stream.append_flush(deltas)
+            else:
+                flushed = self.store.append(deltas)
+            entry.pending = {}
+            self.metrics.inc("store_flushes_total")
+            self.metrics.inc("store_flushed_records_total", flushed)
+            return flushed
+
+    def serve_ingest(self, wire) -> dict:
+        """Serve one parsed ``/v1/ingest`` body
+        (:class:`~repro.service.protocol.IngestWireRequest`).
+
+        Ingests the records, slides the store window to
+        ``expire_before``, then flushes and decides as asked, all under
+        the sessions lock.
+        """
+        with self.sessions_lock:
+            entry = self.ingest(
+                wire.session,
+                wire.query_records,
+                wire.candidate_records,
+                expire_before=wire.expire_before,
+            )
+            if wire.expire_before is not None and self.stream is not None:
+                # The session already dropped its older records; slide
+                # the store window and re-score standing queries to match.
+                self.stream.evict_before(float(wire.expire_before))
+            response = {
+                "session": wire.session,
+                "n_candidates": entry.linker.n_candidates,
+                "n_query_records": entry.linker.n_query_records,
+                "n_records_ingested": entry.n_records,
+            }
+            if wire.flush:
+                response["flushed_records"] = self.flush_session(wire.session)
+            if wire.decide:
+                response["decisions"] = [
+                    {
+                        "candidate_id": d.candidate_id,
+                        "same_person": d.same_person,
+                        "log_posterior_ratio": d.log_posterior_ratio,
+                        "n_mutual": d.n_mutual,
+                        "n_incompatible": d.n_incompatible,
+                    }
+                    for d in entry.linker.decisions()
+                ]
+            return response
 
     # ------------------------------------------------------------------
     # Introspection

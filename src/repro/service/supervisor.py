@@ -1,7 +1,7 @@
 """Shard supervisor: the daemon's one serving path.
 
-:class:`ShardSupervisor` serves every link, assign, ingest, flush and
-expiry over its shards.  With one shard it holds a
+:class:`ShardSupervisor` serves every link, assign and standing-query
+re-scoring over its shards.  With one shard it holds a
 :class:`~repro.service.shard.LocalShard` that answers in-process, on
 the caller's thread.  With more it ``fork``s one worker per shard
 *after* the engine, pool and store are built, so workers inherit
@@ -19,30 +19,25 @@ Division of labour:
   owner the first time the coordinator sees it: the home cell of its
   trajectory at startup, else of its first flushed delta.  Workers
   answer ``link`` with per-shard partial rankings over their slice and
-  ``score_pairs`` with the standing-query pairs they own; for ingest
-  they run real :class:`~repro.core.streaming.StreamingLinker`
-  sessions over the query stream (broadcast) and their owned
-  candidates (routed), buffering raw candidate records when the
-  daemon has a store to flush them into.
+  ``score_pairs`` with the standing-query pairs they own.  They hold
+  no ingest sessions.
 * **The coordinator** merges partial rankings
   (:func:`~repro.service.shard.merge_partials` — bit-identical to the
-  single-process order), keeps the session registry that reassembles
-  ingest responses, and is the *only* process that touches the store:
-  flushes pull buffered records out of workers via ``take_pending``
-  and append them here.  The stream runtime applies each flush and
-  eviction to the coordinator's pool and sends it on to the slices
-  (:meth:`ShardSupervisor.merge_pool`, :meth:`~ShardSupervisor.evict_pool`)
-  under the engine lock that every ``link`` scatter also holds, so a
-  scatter sees every shard either before or after a flush, never a mix.
+  single-process order), holds every ingest session in its own
+  :class:`~repro.service.state.ServiceState`, and is the *only*
+  process that touches the store.  The stream runtime applies each
+  flush and eviction to the coordinator's pool and sends it on to the
+  slices (:meth:`ShardSupervisor.merge_pool`,
+  :meth:`~ShardSupervisor.evict_pool`) under the engine lock that
+  every ``link`` scatter also holds, so a scatter sees every shard
+  either before or after a flush, never a mix.
 
 Failure semantics: any transport error marks the worker dead, the
 supervisor respawns it and retries the operation once
 (``worker_restarts_total`` counts respawns).  A respawned worker is
 forked from the coordinator's *current* pool, and skips a retried delta
-its generation already holds.  Its sessions are replayed from the
-rehydration ledger below; records it had not flushed are lost —
-equivalent to an idle-TTL expiry of that part of the session, the
-trade documented in ``docs/service.md``.
+its generation already holds.  A worker crash loses no session state:
+sessions live on the coordinator.
 """
 
 from __future__ import annotations
@@ -55,11 +50,10 @@ import socket
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from repro.core.engine import LinkRequest
-from repro.errors import FTLError, ValidationError, WorkerCrashedError
-from repro.service.protocol import IngestWireRequest, ShardInfo
+from repro.errors import ValidationError, WorkerCrashedError
+from repro.service.protocol import ShardInfo
 from repro.service.shard import (
     HashRing,
     LocalShard,
@@ -75,44 +69,6 @@ from repro.stream.standing import score_units
 
 _LOG = logging.getLogger("ftl.supervisor")
 
-#: Cap on query records retained per session for worker rehydration.
-#: Beyond it the oldest records are dropped (counted by
-#: ``session_ledger_truncated_records_total``): a respawn then replays
-#: a truncated query stream — the same best-effort trade as losing a
-#: worker's unflushed buffer.
-MAX_QUERY_HISTORY_RECORDS = 50_000
-
-
-@dataclass
-class _SessionEntry:
-    """Coordinator-side view of one sharded ingest session.
-
-    ``owners`` maps candidate id -> owning shard in *first-seen order*,
-    which is exactly the registration order a single-process
-    :class:`StreamingLinker` would report decisions in.  ``n_records``
-    is the monotone ingested-record counter the ingest response
-    exposes (query + candidate records ever routed).
-
-    ``query_history``, ``expire_before`` and ``flushed_segments`` are
-    the rehydration ledger: enough coordinator-side state to replay a
-    respawned worker's slice of the session (the broadcast query
-    stream, the latest eviction cutoff, and the store segments holding
-    the session's flushed candidate records).  The ledger is bounded:
-    query records behind the eviction cutoff are compacted away, the
-    total is capped at :data:`MAX_QUERY_HISTORY_RECORDS`, and segments
-    compacted out of the store are pruned on flush — a long-lived
-    session cannot grow coordinator memory without bound.
-    """
-
-    session_id: str
-    created_at: float
-    last_used_at: float
-    n_records: int = 0
-    owners: dict[str, int] = field(default_factory=dict)
-    query_history: list[list[list[float]]] = field(default_factory=list)
-    expire_before: float | None = None
-    flushed_segments: list[str] = field(default_factory=list)
-
 
 class ShardSupervisor:
     """Shard handles + the scatter-gather coordinator logic.
@@ -121,8 +77,8 @@ class ShardSupervisor:
     ----------
     state:
         The daemon's coordinator :class:`ServiceState` — source of the
-        engine, pool, server-default options, store, metrics, TTL and
-        clock.  Workers get their own states built from its parts.
+        engine, pool, server-default options and metrics.  Workers get
+        their own states built from its parts.
     n_shards:
         Shard count (>= 1): ``1`` serves in-process, ``N > 1`` forks
         ``N`` worker processes.
@@ -161,10 +117,6 @@ class ShardSupervisor:
         self._restarts = [0] * self.n_shards
         self._spawn_lock = threading.Lock()
         self._scatter: ThreadPoolExecutor | None = None
-        self.sessions: dict[str, _SessionEntry] = {}
-        # Ingest, flush and expiry run on executor threads and
-        # check-then-act on ``sessions`` and its entries; one at a time.
-        self._sessions_lock = threading.RLock()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -242,16 +194,12 @@ class ShardSupervisor:
 
     def _worker_state(self, resident: ResidentPool) -> ServiceState:
         """A shard's own state over ``resident``: the coordinator's
-        engine, options and store.  Its sessions never expire on their
-        own (the coordinator's ledger expires them via ``drop_session``)
-        and buffer candidate records only when the store exists."""
+        engine and options."""
         return ServiceState(
             engine=self._state.engine,
             pool=resident.trajectories,
             resident=resident,
             options=self._state.options,
-            session_ttl_s=float("inf"),
-            store=self._state.store,
         )
 
     def _spawn(self, shard_id: int) -> ShardHandle | LocalShard:
@@ -290,69 +238,6 @@ class ShardSupervisor:
             self._handles[shard_id] = self._spawn(shard_id)
             self._restarts[shard_id] += 1
             self._state.metrics.inc("worker_restarts_total")
-            self._rehydrate(shard_id)
-
-    def _rehydrate(self, shard_id: int) -> None:
-        """Replay a respawned worker's slice of every live session.
-
-        The broadcast query stream comes back from the coordinator's
-        per-session history; the worker's owned candidate records come
-        back from the store segments the session flushed (records that
-        were still buffered worker-side died with it — the documented
-        idle-TTL-equivalent loss).  Replayed candidate records are
-        already persisted, so the fresh worker's pending buffer is
-        drained immediately lest the next flush append them twice.
-        """
-        handle = self._handles[shard_id]
-        for entry in self.sessions.values():
-            records_by_cid: dict[str, list[list[float]]] = {}
-            if self._state.store is not None:
-                owned = {
-                    cid for cid, shard in entry.owners.items()
-                    if shard == shard_id
-                }
-                for dirname in entry.flushed_segments:
-                    try:
-                        segment = self._state.store.read_segment(dirname)
-                    except (FTLError, OSError):
-                        continue  # compacted away since the flush
-                    for traj in segment:
-                        cid = str(traj.traj_id)
-                        if cid not in owned:
-                            continue
-                        records_by_cid.setdefault(cid, []).extend(
-                            [float(t), float(x), float(y)]
-                            for t, x, y in zip(traj.ts, traj.xs, traj.ys)
-                        )
-            query_records = [
-                record for batch in entry.query_history for record in batch
-            ]
-            if not query_records and not records_by_cid:
-                continue
-            try:
-                handle.call(
-                    "ingest",
-                    {
-                        "session": entry.session_id,
-                        "query_records": query_records,
-                        "candidate_records": records_by_cid,
-                        "expire_before": entry.expire_before,
-                    },
-                )
-                if records_by_cid:
-                    handle.call("take_pending", entry.session_id)
-                self._state.metrics.inc("worker_rehydrated_sessions_total")
-                _LOG.info(
-                    "worker_rehydrated",
-                    extra={"ftl_fields": {
-                        "shard": shard_id,
-                        "session": entry.session_id,
-                        "n_query_records": len(query_records),
-                        "n_candidates": len(records_by_cid),
-                    }},
-                )
-            except (WorkerCrashedError, FTLError):
-                continue  # best effort: the next op respawns again
 
     def _call(self, shard_id: int, op: str, payload=None):
         """One shard op with crash-respawn-retry-once semantics."""
@@ -535,205 +420,6 @@ class ShardSupervisor:
         return scored
 
     # ------------------------------------------------------------------
-    # /ingest routing
-    # ------------------------------------------------------------------
-    def ingest(self, wire: IngestWireRequest) -> dict:
-        """Route one ingest request and reassemble its response.
-
-        Query records and ``expire_before`` are broadcast to every
-        shard (each worker's linker needs the full query stream);
-        candidate records go only to their owning shard.  The response
-        counts come back out the same way: retained query records from
-        any shard (they agree), candidate counts summed, the monotone
-        ingested-record total from the coordinator registry.
-        """
-        with self._sessions_lock:
-            now = self._state.clock()
-            self.expire_idle(now)
-            entry = self.sessions.get(wire.session)
-            if entry is None:
-                entry = _SessionEntry(
-                    session_id=wire.session, created_at=now, last_used_at=now
-                )
-                self.sessions[wire.session] = entry
-                self._state.metrics.inc("sessions_created_total")
-            entry.last_used_at = now
-            # The query history only replays into a respawned worker;
-            # the in-process shard is never respawned.
-            if wire.query_records and self.n_shards > 1:
-                entry.query_history.append(
-                    [list(map(float, r)) for r in wire.query_records]
-                )
-            if wire.expire_before is not None:
-                entry.expire_before = (
-                    wire.expire_before
-                    if entry.expire_before is None
-                    else max(entry.expire_before, wire.expire_before)
-                )
-            self._compact_ledger(entry)
-            for cid in wire.candidate_records:
-                if cid not in entry.owners:
-                    entry.owners[cid] = self.ring.shard_for(f"id:{cid}")
-            per_shard: list[dict] = [{} for _ in range(self.n_shards)]
-            for cid, records in wire.candidate_records.items():
-                per_shard[entry.owners[cid]][cid] = records
-            futures = [
-                self._submit(
-                    shard_id,
-                    "ingest",
-                    {
-                        "session": wire.session,
-                        "query_records": wire.query_records,
-                        "candidate_records": per_shard[shard_id],
-                        "expire_before": wire.expire_before,
-                    },
-                )
-                for shard_id in range(self.n_shards)
-            ]
-            replies = [future.result() for future in futures]
-            total = len(wire.query_records) + sum(
-                len(r) for r in wire.candidate_records.values()
-            )
-            entry.n_records += total
-            if total:
-                self._state.metrics.inc("ingested_records_total", total)
-            if wire.expire_before is not None and self._state.stream is not None:
-                # Workers already dropped their in-session records; slide
-                # the store window and re-score standing queries to match.
-                self._state.stream.evict_before(float(wire.expire_before))
-            response = {
-                "session": wire.session,
-                "n_candidates": sum(r["n_candidates"] for r in replies),
-                "n_query_records": max(r["n_query_records"] for r in replies),
-                "n_records_ingested": entry.n_records,
-            }
-            if wire.flush:
-                response["flushed_records"] = self.flush_session(wire.session)
-            if wire.decide:
-                response["decisions"] = self._decisions(entry)
-            return response
-
-    def _compact_ledger(self, entry: _SessionEntry) -> None:
-        """Keep the session's rehydration ledger bounded.
-
-        Query records behind the eviction cutoff would be dropped by
-        the workers' linkers on replay anyway (``expire_before`` is
-        replayed too), so compacting them away changes nothing.  Past
-        :data:`MAX_QUERY_HISTORY_RECORDS` the oldest records go as
-        well — lossy but counted, and strictly better than unbounded
-        coordinator growth.
-        """
-        if entry.expire_before is not None:
-            cutoff = entry.expire_before
-            entry.query_history = [
-                kept
-                for batch in entry.query_history
-                if (kept := [r for r in batch if r[0] >= cutoff])
-            ]
-        overflow = (
-            sum(len(batch) for batch in entry.query_history)
-            - MAX_QUERY_HISTORY_RECORDS
-        )
-        if overflow <= 0:
-            return
-        self._state.metrics.inc(
-            "session_ledger_truncated_records_total", overflow
-        )
-        while overflow > 0:
-            batch = entry.query_history[0]
-            if len(batch) <= overflow:
-                overflow -= len(batch)
-                entry.query_history.pop(0)
-            else:
-                del batch[:overflow]
-                overflow = 0
-
-    def _decisions(self, entry: _SessionEntry) -> list[dict]:
-        """Per-candidate decisions in global registration order.
-
-        Each owning shard reports its candidates' decisions; the
-        registry's first-seen order stitches them back into the order a
-        single-process linker would emit.  Candidates living on a shard
-        that was respawned since their ingest are absent (their
-        evidence died with the worker) and are skipped.
-        """
-        shard_ids = sorted(set(entry.owners.values()))
-        futures = {
-            shard_id: self._submit(shard_id, "decisions", entry.session_id)
-            for shard_id in shard_ids
-        }
-        by_cid = {}
-        for shard_id in shard_ids:
-            for decision in futures[shard_id].result():
-                by_cid[decision["candidate_id"]] = decision
-        return [by_cid[cid] for cid in entry.owners if cid in by_cid]
-
-    # ------------------------------------------------------------------
-    # Store flushes and session expiry (coordinator-owned)
-    # ------------------------------------------------------------------
-    def flush_session(self, session_id: str) -> int:
-        """Pull buffered records out of the workers, append to the store."""
-        with self._sessions_lock:
-            if self._state.store is None:
-                raise ValidationError("no trajectory store attached to this daemon")
-            entry = self.sessions.get(session_id)
-            if entry is None:
-                raise ValidationError(f"unknown ingest session {session_id!r}")
-            pending: dict[str, list[tuple[float, float, float]]] = {}
-            for shard_id in range(self.n_shards):
-                pending.update(self._call(shard_id, "take_pending", session_id))
-            if not pending:
-                return 0
-            deltas = []
-            for cid, records in pending.items():
-                ts, xs, ys = zip(*records)
-                deltas.append(Trajectory(ts, xs, ys, cid, sort=True))
-            # The stream runtime appends inside its locks (delta-block
-            # stamp must match this append's committed generation) and
-            # reports back the segment it wrote for the rehydration ledger.
-            if self._state.stream is not None:
-                flushed, segment = self._state.stream.append_flush(deltas)
-            else:
-                flushed = self._state.store.append(deltas)
-                segment = (
-                    self._state.store.manifest.segments[-1].dirname
-                    if flushed
-                    else None
-                )
-            if segment is not None and segment not in entry.flushed_segments:
-                entry.flushed_segments.append(segment)
-            # Compaction rewrites the store into one segment; ledger
-            # entries pointing at dead segments are useless for rehydration
-            # and would otherwise accumulate for the session's lifetime.
-            live = {info.dirname for info in self._state.store.manifest.segments}
-            entry.flushed_segments = [
-                d for d in entry.flushed_segments if d in live
-            ]
-            self._state.metrics.inc("store_flushes_total")
-            self._state.metrics.inc("store_flushed_records_total", flushed)
-            return flushed
-
-    def expire_idle(self, now: float | None = None) -> list[str]:
-        """TTL-expire idle sessions everywhere (flushing first if stored)."""
-        with self._sessions_lock:
-            if now is None:
-                now = self._state.clock()
-            expired = [
-                sid
-                for sid, entry in self.sessions.items()
-                if now - entry.last_used_at > self._state.session_ttl_s
-            ]
-            for sid in expired:
-                if self._state.store is not None:
-                    self.flush_session(sid)
-                for shard_id in range(self.n_shards):
-                    self._call(shard_id, "drop_session", sid)
-                del self.sessions[sid]
-            if expired:
-                self._state.metrics.inc("sessions_expired_total", len(expired))
-            return expired
-
-    # ------------------------------------------------------------------
     # Model hot-swap broadcast
     # ------------------------------------------------------------------
     def broadcast_model(
@@ -779,15 +465,14 @@ class ShardSupervisor:
             try:
                 reply = dict(self._call(shard_id, "ping"), alive=True)
             except WorkerCrashedError:
-                # A dead worker holds no slice and no sessions.
+                # A dead worker holds no slice.
                 reply = {"pid": self._handles[shard_id].pid, "alive": False,
-                         "pool_size": 0, "sessions": 0}
+                         "pool_size": 0}
             status.append({
                 "shard": shard_id,
                 "pid": reply["pid"],
                 "alive": reply["alive"],
                 "pool_size": reply["pool_size"],
-                "sessions": reply["sessions"],
                 "restarts": self._restarts[shard_id],
             })
         return status

@@ -271,37 +271,6 @@ class TrajectoryStore:
             add(entry)
         return db
 
-    def read_segment(self, dirname: str) -> list[Trajectory]:
-        """The record deltas of one live segment, watermark-filtered.
-
-        Segments are the store's append log: each holds exactly what one
-        :meth:`append` wrote.  The shard supervisor replays them to
-        rehydrate a respawned worker's ingest-session evidence.
-        """
-        info = next(
-            (s for s in self._manifest.segments if s.dirname == dirname), None
-        )
-        if info is None:
-            raise ValidationError(
-                f"{dirname}: not a live segment of {self._path}"
-            )
-        ts, xs, ys, offsets, ids = open_segment_arrays(
-            self._path / dirname, info
-        )
-        ts_v, xs_v, ys_v = np.asarray(ts), np.asarray(xs), np.asarray(ys)
-        bounds = offsets.tolist()
-        cut = self._manifest.retain_after
-        out: list[Trajectory] = []
-        for slot, traj_id in enumerate(ids):
-            a, b = bounds[slot], bounds[slot + 1]
-            if cut:
-                a += int(np.searchsorted(ts_v[a:b], cut, side="left"))
-            if a < b:
-                out.append(Trajectory.from_arrays_unchecked(
-                    ts_v[a:b], xs_v[a:b], ys_v[a:b], traj_id
-                ))
-        return out
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -397,13 +366,12 @@ class TrajectoryStore:
         Records with ``t < cutoff_t`` (strictly — a record at exactly
         the cutoff survives, matching
         :meth:`repro.core.streaming.StreamingPairEvidence.expire_before`)
-        stop being visible to :meth:`load` and :meth:`read_segment`
-        immediately, without rewriting any segment; :meth:`compact`
-        materialises the drop.  Commits a new manifest generation, so
-        a plain persisted index goes stale (the streaming delta log
-        records eviction markers to keep its union view live).  Returns
-        the number of newly masked records; lowering the watermark is a
-        no-op.
+        stop being visible to :meth:`load` immediately, without
+        rewriting any segment; :meth:`compact` materialises the drop.
+        Commits a new manifest generation, so a plain persisted index
+        goes stale (the streaming delta log records eviction markers to
+        keep its union view live).  Returns the number of newly masked
+        records; lowering the watermark is a no-op.
         """
         old = self._manifest.retain_after
         cut = float(cutoff_t)

@@ -174,24 +174,22 @@ class StreamRuntime:
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
-    def append_flush(self, deltas) -> tuple[int, str | None]:
+    def append_flush(self, deltas) -> int:
         """Append ``deltas`` to the store and run the flush pipeline.
 
         The store append and the matching delta-block write happen
         under one critical section, so concurrent session flushes (or
         a racing :meth:`evict_before`) can never stamp a block with
         another commit's generation or leave a coverage gap in the
-        delta log.  Returns ``(records appended, new segment dirname
-        or None when nothing was written)``; a failed store append
-        propagates with nothing committed.
+        delta log.  Returns the records appended; a failed store
+        append propagates with nothing committed.
         """
         live = [t for t in deltas if len(t)]
         started = self._clock()
         with self._engine_lock, self._lock:
             flushed = self._store.append(deltas)
             if not flushed:
-                return 0, None
-            segment = self._store.manifest.segments[-1].dirname
+                return 0
             try:
                 self._flush_pipeline(live, self._store.generation, started)
             except Exception:  # noqa: BLE001 - records ARE persisted
@@ -215,7 +213,7 @@ class StreamRuntime:
                 )
                 if self._metrics is not None:
                     self._metrics.inc("stream_flush_pipeline_errors_total")
-            return flushed, segment
+            return flushed
 
     def after_flush(self, deltas, generation: int | None = None) -> int:
         """Run the incremental pipeline for freshly appended deltas.

@@ -29,7 +29,6 @@ from repro.service.client import ServiceClient
 from repro.service.protocol import IngestWireRequest
 from repro.service.server import BackgroundServer, LinkServer, ServerConfig
 from repro.service.state import Metrics, ServiceState
-from repro.service.supervisor import ShardSupervisor
 
 RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
 
@@ -481,14 +480,6 @@ def _session_records(base_t: float = 0.0):
     return query, cand
 
 
-def _one_shard(state: ServiceState) -> ShardSupervisor:
-    """A started one-shard supervisor: the daemon's serving path over
-    ``state``, in-process (nothing to fork or stop)."""
-    sup = ShardSupervisor(state, 1)
-    sup.start()
-    return sup
-
-
 def _ingest(session: str, query, candidates) -> IngestWireRequest:
     return IngestWireRequest(
         session=session,
@@ -543,15 +534,15 @@ class TestIngestSessions:
         import sys
 
         n_threads, rounds, sessions = 8, 100, ("s0", "s1", "s2", "s3")
-        sup = _one_shard(ServiceState(
+        state = ServiceState(
             engine=engine, pool=pool, options=LinkOptions(),
             session_ttl_s=3600.0,
-        ))
+        )
 
         def worker(tid: int, session: str, barrier) -> None:
             barrier.wait()
             for r in range(rounds):
-                sup.ingest(_ingest(session, [], {
+                state.serve_ingest(_ingest(session, [], {
                     f"c{tid}-{r}": [(float(r), 0.0, 0.0)],
                 }))
 
@@ -574,9 +565,9 @@ class TestIngestSessions:
         finally:
             sys.setswitchinterval(switch)
         for session in sessions:
-            entry = sup.sessions[session]
+            entry = state.sessions[session]
             assert entry.n_records == n_threads * rounds
-            assert len(entry.owners) == n_threads * rounds
+            assert entry.linker.n_candidates == n_threads * rounds
 
     def test_record_level_expiry_over_http(self, client, fitted_models):
         mr, ma = fitted_models
@@ -794,17 +785,18 @@ class TestStoreBackedService:
             engine=engine, pool=pool, options=LinkOptions(),
             clock=FakeClock(), store=store,
         )
-        sup = _one_shard(state)
         query, cand = _session_records()
-        sup.ingest(_ingest("flushy", query, {"c1": cand[:4]}))
-        sup.ingest(_ingest("flushy", [], {"c1": cand[4:], "c2": cand[:2]}))
-        flushed = sup.flush_session("flushy")
+        state.serve_ingest(_ingest("flushy", query, {"c1": cand[:4]}))
+        state.serve_ingest(
+            _ingest("flushy", [], {"c1": cand[4:], "c2": cand[:2]})
+        )
+        flushed = state.flush_session("flushy")
         assert flushed == len(cand) + 2
         persisted = open_store(tmp_path / "s").load()
         assert sorted(map(str, persisted.ids())) == ["c1", "c2"]
         assert len(persisted["c1"]) == len(cand)
         # a second flush with nothing new buffered is a no-op
-        assert sup.flush_session("flushy") == 0
+        assert state.flush_session("flushy") == 0
         assert state.metrics.counter("store_flushes_total") == 1
         assert state.metrics.counter("store_flushed_records_total") == flushed
 
@@ -815,14 +807,14 @@ class TestStoreBackedService:
         bare = ServiceState(engine=engine, pool=pool, options=LinkOptions(),
                             clock=FakeClock())
         with pytest.raises(ValidationError, match="no trajectory store"):
-            _one_shard(bare).flush_session("any")
+            bare.flush_session("any")
         stored = ServiceState(
             engine=engine, pool=pool, options=LinkOptions(),
             clock=FakeClock(),
             store=TrajectoryStore.create(tmp_path / "s"),
         )
         with pytest.raises(ValidationError, match="unknown ingest session"):
-            _one_shard(stored).flush_session("ghost")
+            stored.flush_session("ghost")
 
     def test_ttl_expiry_auto_flushes_to_store(self, engine, pool, tmp_path):
         from repro.store import TrajectoryStore, open_store
@@ -833,14 +825,38 @@ class TestStoreBackedService:
             session_ttl_s=100.0, clock=clock,
             store=TrajectoryStore.create(tmp_path / "s"),
         )
-        sup = _one_shard(state)
         query, cand = _session_records()
-        sup.ingest(_ingest("drop-me", query, {"c9": cand}))
+        state.serve_ingest(_ingest("drop-me", query, {"c9": cand}))
         clock.advance(101.0)
-        assert sup.expire_idle() == ["drop-me"]
+        assert state.expire_idle_sessions() == ["drop-me"]
         persisted = open_store(tmp_path / "s").load()
         assert list(map(str, persisted.ids())) == ["c9"]
         assert len(persisted["c9"]) == len(cand)
+
+    def test_ingest_expires_idle_sessions_by_flushing_them(
+        self, engine, pool, tmp_path
+    ):
+        """The lazy expiry on ingest is the sweeper's: session B's
+        ingest expires idle session A, and A's buffered records reach
+        the store instead of being dropped."""
+        from repro.store import TrajectoryStore
+
+        clock = FakeClock()
+        store = TrajectoryStore.create(tmp_path / "s")
+        state = ServiceState(
+            engine=engine, pool=pool, options=LinkOptions(),
+            session_ttl_s=100.0, clock=clock, store=store,
+        )
+        query, cand = _session_records()
+        state.ingest("A", query, {"cA": cand})
+        flushes = state.metrics.counter("store_flushes_total")
+        clock.advance(101.0)
+        state.ingest("B", query, {})
+        assert "A" not in state.sessions
+        persisted = store.load()
+        assert list(map(str, persisted.ids())) == ["cA"]
+        assert len(persisted["cA"]) == len(cand)
+        assert state.metrics.counter("store_flushes_total") == flushes + 1
 
     def test_flush_over_http(self, engine, pool, tmp_path):
         from repro.store import TrajectoryStore, open_store
@@ -866,21 +882,6 @@ class TestStoreBackedService:
         query, cand = _session_records()
         state.ingest("plain", query, {"c1": cand})
         assert state.sessions["plain"].pending == {}
-        # Nothing could ever flush them, so no shard buffers them either
-        # — in-process or forked.
-        for workers in (1, 2):
-            sup = ShardSupervisor(
-                ServiceState(engine=engine, pool=pool, options=LinkOptions(),
-                             clock=FakeClock()),
-                workers,
-            )
-            sup.start()
-            try:
-                sup.ingest(_ingest("plain", query, {"c1": cand}))
-                for shard_id in range(workers):
-                    assert sup._call(shard_id, "take_pending", "plain") == {}
-            finally:
-                sup.stop()
 
     def test_ttl_expiry_counters_and_flushed_records_reach_link(
         self, engine, small_pair, tmp_path
@@ -898,9 +899,8 @@ class TestStoreBackedService:
             engine=engine, pool=list(store.load()), options=RANKING,
             session_ttl_s=100.0, clock=clock, store=store,
         )
-        sup = _one_shard(state)
         query, cand = _session_records(base_t=5_000.0)
-        sup.ingest(_ingest("expiring", query, {"flushed-cand": cand}))
+        state.serve_ingest(_ingest("expiring", query, {"flushed-cand": cand}))
         before = {
             name: state.metrics.counter(name)
             for name in ("sessions_expired_total", "store_flushes_total",
@@ -908,7 +908,7 @@ class TestStoreBackedService:
         }
 
         clock.advance(101.0)
-        assert sup.expire_idle() == ["expiring"]
+        assert state.expire_idle_sessions() == ["expiring"]
         counters = state.metrics
         assert counters.counter("sessions_expired_total") == (
             before["sessions_expired_total"] + 1

@@ -483,56 +483,8 @@ class TestCoordinatorEngineLock:
 
 
 # ----------------------------------------------------------------------
-# Coordinator-side unit coverage (no fork): the bounded rehydration
-# ledger.
-# ----------------------------------------------------------------------
-class TestSessionLedgerBounds:
-    def _supervisor(self, engine, pool):
-        return _supervisor(engine, pool, 2)
-
-    def test_eviction_cutoff_compacts_query_history(self, engine, pool):
-        from repro.service.supervisor import _SessionEntry
-
-        sup, _state = self._supervisor(engine, pool)
-        entry = _SessionEntry("s", created_at=0.0, last_used_at=0.0)
-        entry.query_history = [
-            [[10.0, 0.0, 0.0], [50.0, 1.0, 1.0]],
-            [[200.0, 2.0, 2.0]],
-        ]
-        entry.expire_before = 100.0
-        sup._compact_ledger(entry)
-        assert entry.query_history == [[[200.0, 2.0, 2.0]]]
-
-    def test_record_cap_drops_oldest_and_counts(self, engine, pool,
-                                                monkeypatch):
-        import repro.service.supervisor as supervisor_mod
-        from repro.service.supervisor import _SessionEntry
-
-        monkeypatch.setattr(
-            supervisor_mod, "MAX_QUERY_HISTORY_RECORDS", 5
-        )
-        sup, state = self._supervisor(engine, pool)
-        entry = _SessionEntry("s", created_at=0.0, last_used_at=0.0)
-        entry.query_history = [
-            [[float(i), 0.0, 0.0] for i in range(4)],
-            [[float(10 + i), 0.0, 0.0] for i in range(4)],
-        ]
-        sup._compact_ledger(entry)
-        kept = [r for batch in entry.query_history for r in batch]
-        assert len(kept) == 5
-        # newest records survive, oldest were dropped
-        assert kept == [[3.0, 0.0, 0.0]] + [
-            [float(10 + i), 0.0, 0.0] for i in range(4)
-        ]
-        assert state.metrics.counter(
-            "session_ledger_truncated_records_total"
-        ) == 3
-
-
-# ----------------------------------------------------------------------
-# Streaming over a store-backed sharded daemon: live worker slices and
-# worker-session rehydration.  The single-process
-# streaming surface is covered in tests/test_stream.py.
+# Streaming over a store-backed sharded daemon: live worker slices.  The
+# single-process streaming surface is covered in tests/test_stream.py.
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def stream_sharded_server(engine, pool, tmp_path):
@@ -736,44 +688,69 @@ class TestShardedStreaming:
         allowed = [fresh.link_batch([query], pool)[0] for pool in states]
         assert all(result in allowed for result in results)
 
-    def test_killed_worker_rehydrates_flushed_sessions(
-        self, stream_sharded_server, small_pair
+
+@pytest.fixture(params=["no-store", "store"])
+def session_server(request, engine, pool, tmp_path):
+    """A 2-worker daemon, with and without a store behind its pool."""
+    from repro.store import TrajectoryStore
+
+    store, serving = None, pool
+    if request.param == "store":
+        store = TrajectoryStore.create(tmp_path / "session-store", pool)
+        serving = list(store.load())
+    config = ServerConfig(
+        port=0, max_wait_ms=1.0, workers=2, session_ttl_s=3600.0
+    )
+    with BackgroundServer(engine, serving, config=config,
+                          store=store) as background:
+        yield background, store
+
+
+class TestShardedSessions:
+    def test_killed_workers_lose_no_session_evidence(
+        self, session_server, small_pair
     ):
-        server, store = stream_sharded_server
+        """Ingest sessions live on the coordinator: SIGKILLing each
+        worker in turn leaves an unflushed session's decisions as they
+        were, and a store-backed flush then persists every ingested
+        candidate record exactly once."""
+        server, store = session_server
         query = small_pair.p_db[sorted(small_pair.truth)[0]]
-        near = self._near_records(query)
-        shifted = [(t + 30.0, x + 40.0, y - 40.0) for t, x, y in near]
+        near = [
+            (float(t), float(x), float(y))
+            for t, x, y in zip(query.ts[:6], query.xs[:6], query.ys[:6])
+        ]
+        candidates = {
+            f"c{k}": [
+                (t + 5.0 * k, x + 20.0 * k, y - 10.0 * k)
+                for t, x, y in near
+            ]
+            for k in range(8)
+        }
+        # Ids that routing by id hash spreads over both workers.
+        ring = HashRing(2)
+        assert {ring.shard_for(f"id:{cid}") for cid in candidates} == {0, 1}
         with ServiceClient(*server.address, timeout_s=60) as c:
-            first = c.ingest(
-                "reh", query_records=near,
-                candidate_records={"cA": near, "cB": shifted},
-                decide=True, flush=True,
-            )
-            assert first["flushed_records"] == len(near) + len(shifted)
-            before = {
-                d["candidate_id"]: d for d in first["decisions"]
-            }
-            assert set(before) == {"cA", "cB"}
-
-            workers = c.healthz()["workers"]
-            os.kill(workers[0]["pid"], signal.SIGKILL)
-            # The next ingest round-trip hits the dead pipe: the
-            # supervisor respawns the worker and replays the session's
-            # flushed segments from the store's append log.
-            second = c.ingest("reh", decide=True)
-            after = {
-                d["candidate_id"]: d for d in second["decisions"]
-            }
-            # Rehydrated evidence is rebuilt from the persisted records,
-            # so the decisions survive the crash bit-identically.
-            assert after == before
-
-            metrics = c.metrics()
-            assert metrics["ftl_worker_rehydrated_sessions_total"] >= 1
-            assert metrics["ftl_worker_restarts_total"] >= 1
-
-            # Replayed records were already persisted: re-flushing the
-            # session must append nothing (no double-observation).
-            third = c.ingest("reh", decide=False, flush=True)
-            assert third["flushed_records"] == 0
-            assert c.healthz()["workers"][0]["pid"] != workers[0]["pid"]
+            first = c.ingest("crash", query_records=near,
+                             candidate_records=candidates, decide=True)
+            decisions = first["decisions"]
+            assert [d["candidate_id"] for d in decisions] == list(candidates)
+            health = c.healthz()
+            assert health["sessions"] == 1
+            assert not any("sessions" in w for w in health["workers"])
+            assert c.metrics()["ftl_sessions"] == 1
+            for shard in (0, 1):
+                victim = c.healthz()["workers"][shard]
+                os.kill(victim["pid"], signal.SIGKILL)
+                again = c.ingest("crash", decide=True)
+                assert again["decisions"] == decisions, shard
+                after = c.healthz()["workers"][shard]
+                assert after["pid"] != victim["pid"] and after["alive"]
+            assert c.metrics()["ftl_worker_restarts_total"] >= 2
+            if store is not None:
+                flushed = c.ingest("crash", decide=False, flush=True)
+                assert flushed["flushed_records"] == sum(
+                    len(records) for records in candidates.values()
+                )
+                again = c.ingest("crash", decide=False, flush=True)
+                assert again["flushed_records"] == 0

@@ -398,7 +398,7 @@ class TestAppendFlushAtomicity:
             str(t.traj_id) for t in pool
         }
 
-    def test_append_flush_returns_segment_and_skips_empty(
+    def test_append_flush_returns_count_and_skips_empty(
         self, rng, tmp_path, fitted_models
     ):
         mr, ma = fitted_models
@@ -406,14 +406,12 @@ class TestAppendFlushAtomicity:
         store.build_index(**PARAMS)
         engine = LinkEngine(mr, ma, options=RANKING)
         runtime = StreamRuntime(store, engine, list(store.load()), RANKING)
-        flushed, segment = runtime.append_flush([Trajectory.empty("void")])
-        assert (flushed, segment) == (0, None)
+        generation = store.generation
+        assert runtime.append_flush([Trajectory.empty("void")]) == 0
         assert runtime.delta_log.entries() == []
-        flushed, segment = runtime.append_flush(
-            [_random_traj(rng, 3, "fresh")]
-        )
-        assert flushed == 3
-        assert segment == store.manifest.segments[-1].dirname
+        assert store.generation == generation
+        assert runtime.append_flush([_random_traj(rng, 3, "fresh")]) == 3
+        assert store.generation == generation + 1
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +647,7 @@ class TestResidentPoolMatchesLoad:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(runtime.delta_log, "append_block", broken)
-        flushed, _segment = runtime.append_flush(
+        flushed = runtime.append_flush(
             [delta(ids[0], 0.0), delta("fresh", 30.0)]
         )
         assert flushed == 4
