@@ -2,8 +2,8 @@
 
 These use pytest-benchmark's statistical timing (many rounds) on the
 operations that dominate query latency: mutual-segment profile
-extraction, Poisson-Binomial tail evaluation, and single-pair decisions
-of both matchers.
+extraction, Poisson-Binomial tail evaluation, and the single-pair
+evidence both decision rules read.
 """
 
 import numpy as np
@@ -11,9 +11,8 @@ import pytest
 
 from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
-from repro.core.filtering import AlphaFilter
+from repro.core.engine import LinkEngine
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.trajectory import Trajectory
 from repro.stats.poisson_binomial import PoissonBinomial
 
@@ -77,20 +76,12 @@ def test_pb_tail_normal_speed(benchmark):
     assert 0.0 <= value <= 1.0
 
 
-def test_alpha_filter_pair_decision_speed(benchmark, traj_pair, models):
+def test_pair_evidence_speed(benchmark, traj_pair, models):
+    """One pair's p-values and log-likelihoods: what both rules read."""
     p, q = traj_pair
-    mr, ma = models
-    matcher = AlphaFilter(mr, ma, 0.05, 0.05)
-    decision = benchmark(matcher.decide, p, q)
-    assert decision.n_mutual >= 0
-
-
-def test_naive_bayes_pair_decision_speed(benchmark, traj_pair, models):
-    p, q = traj_pair
-    mr, ma = models
-    matcher = NaiveBayesMatcher(mr, ma, 0.05)
-    decision = benchmark(matcher.decide, p, q)
-    assert decision.n_mutual >= 0
+    engine = LinkEngine(*models)
+    [evidence] = benchmark(engine.evidence, [p], [q])
+    assert evidence.n_mutual[0] >= 0
 
 
 def test_streaming_insert_speed(benchmark, traj_pair, config):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -253,16 +254,18 @@ def run_profile_kernel_benchmark(
     # Correctness gate 2: identical end-to-end rankings per backend.
     mr = CompatibilityModel.fit_rejection([pair.p_db, pair.q_db], config)
     ma = CompatibilityModel.fit_acceptance([pair.p_db, pair.q_db], config, rng)
-    rank_options = {
-        backend: LinkOptions(
-            method="alpha-filter", alpha1=0.0, alpha2=1.0, kernel_backend=backend
-        )
-        for backend in backends
-    }
-    rankings = {
-        backend: LinkEngine(mr, ma, options=options).link_batch(queries, pool)
-        for backend, options in rank_options.items()
-    }
+    # The models' config names the kernel backend an engine runs on.
+    rank_options = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
+    rankings = {}
+    for backend in backends:
+        models = [
+            CompatibilityModel(
+                m.kind, m.counts, replace(m.config, kernel_backend=backend)
+            )
+            for m in (mr, ma)
+        ]
+        engine = LinkEngine(*models, options=rank_options)
+        rankings[backend] = engine.link_batch(queries, pool)
     for backend in backends[1:]:
         assert rankings[backend] == rankings["python"], (
             f"link_batch ranking diverged between {backend} and python"

@@ -13,7 +13,6 @@ import numpy as np
 from benchmarks.conftest import cached_scenario, print_header, scale_name
 from repro.assign import PERMISSIVE_LINK_OPTIONS, build_cost_graph, solve
 from repro.core.engine import LinkEngine
-from repro.core.ranking import rank_candidates
 from repro.pipeline.experiment import fit_model_pair
 
 
@@ -34,10 +33,13 @@ def test_assignment_vs_top1(benchmark, config):
         _dense_graph, args=(pair, mr, ma, qids), rounds=1, iterations=1
     )
 
+    evidence = LinkEngine(mr, ma).evidence(
+        [pair.p_db[qid] for qid in qids], pair.q_db
+    )
     top1_hits = sum(
         1
-        for qid in qids
-        if rank_candidates(pair.p_db[qid], pair.q_db, mr, ma)[0].candidate_id
+        for qid, qe in zip(qids, evidence)
+        if qe.candidate_ids[np.argsort(-qe.scores(), kind="stable")[0]]
         == pair.truth[qid]
     )
     greedy = solve(graph, backend="greedy")

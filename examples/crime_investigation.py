@@ -15,9 +15,8 @@ Run:  python examples/crime_investigation.py
 
 import numpy as np
 
-from repro import FTLConfig
+from repro import FTLConfig, LinkEngine
 from repro.core.models import CompatibilityModel
-from repro.core.ranking import rank_candidates
 from repro.geo.units import days_to_seconds, hours_to_seconds
 from repro.synth import (
     CityModel,
@@ -47,6 +46,14 @@ def main() -> None:
     config = FTLConfig()
     mr = CompatibilityModel.fit_rejection([pair.p_db, pair.q_db], config)
     ma = CompatibilityModel.fit_acceptance([pair.p_db, pair.q_db], config, rng)
+    engine = LinkEngine(mr, ma)
+
+    def rank(card):
+        """Every subscriber as ``(id, v)``, by non-increasing Eq. 2 score."""
+        [evidence] = engine.evidence([pair.p_db[card]], pair.q_db)
+        scores = evidence.scores()
+        order = np.argsort(-scores, kind="stable")
+        return [(evidence.candidate_ids[i], scores[i]) for i in order]
 
     # The incident: day 3, 12:11 pm.  Cards that tapped within the
     # surrounding window are the anonymous suspect pool.
@@ -67,27 +74,24 @@ def main() -> None:
     # Rank CDR subscribers for each suspect card; an investigator would
     # interview in rank order, so report the rank of the true subscriber.
     for card in suspect_cards[:5]:
-        ranked = rank_candidates(pair.p_db[card], pair.q_db, mr, ma)
+        ranked = rank(card)
         true_rank = next(
-            (i + 1 for i, c in enumerate(ranked)
-             if c.candidate_id == pair.truth.get(card)),
+            (i + 1 for i, (cid, _v) in enumerate(ranked)
+             if cid == pair.truth.get(card)),
             None,
         )
-        top3 = ", ".join(
-            f"{c.candidate_id}(v={c.score:.2f})" for c in ranked[:3]
-        )
+        top3 = ", ".join(f"{cid}(v={v:.2f})" for cid, v in ranked[:3])
         print(f"card #{card}: top-3 = [{top3}]  "
               f"true subscriber at rank {true_rank}")
 
     ranks = []
     for card in suspect_cards:
-        ranked = rank_candidates(pair.p_db[card], pair.q_db, mr, ma)
-        rank = next(
-            (i + 1 for i, c in enumerate(ranked)
-             if c.candidate_id == pair.truth.get(card)),
+        ranked = rank(card)
+        ranks.append(next(
+            (i + 1 for i, (cid, _v) in enumerate(ranked)
+             if cid == pair.truth.get(card)),
             len(ranked),
-        )
-        ranks.append(rank)
+        ))
     print(f"\nmedian rank of the true subscriber over "
           f"{len(suspect_cards)} suspect cards: {int(np.median(ranks))} "
           f"(out of {len(pair.q_db)} subscribers)")
@@ -96,11 +100,11 @@ def main() -> None:
     # top match was made (per-segment evidence breakdown).
     from repro.core.explain import explain_pair
 
-    top_match = rank_candidates(pair.p_db[true_card], pair.q_db, mr, ma)[0]
+    top_match, _v = rank(true_card)[0]
     explanation = explain_pair(
-        pair.p_db[true_card], pair.q_db[top_match.candidate_id], mr, ma
+        pair.p_db[true_card], pair.q_db[top_match], mr, ma
     )
-    print(f"\nevidence for card #{true_card} -> {top_match.candidate_id}:")
+    print(f"\nevidence for card #{true_card} -> {top_match}:")
     print(explanation.summary(k=4))
 
 

@@ -36,7 +36,6 @@ from repro.core.engine import (
     LinkOptions,
     ProfileCache,
 )
-from repro.core.filtering import AlphaFilter, FilterDecision
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.linker import Candidate, FTLLinker, LinkResult
 from repro.core.metrics import (
@@ -46,8 +45,6 @@ from repro.core.metrics import (
     selectiveness,
 )
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher, NBDecision
-from repro.core.ranking import ScoredCandidate, rank_candidates
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
 from repro.errors import FTLError, NotFittedError, ValidationError
@@ -58,7 +55,6 @@ from repro.version import __version__
 
 __all__ = [
     "AlignedTrajectory",
-    "AlphaFilter",
     "CacheStats",
     "Candidate",
     "CompatibilityModel",
@@ -66,18 +62,14 @@ __all__ = [
     "FTLConfig",
     "FTLError",
     "FTLLinker",
-    "FilterDecision",
     "LinkEngine",
     "LinkOptions",
     "LinkResult",
     "ProfileCache",
     "MutualSegmentProfile",
-    "NBDecision",
-    "NaiveBayesMatcher",
     "NotFittedError",
     "PoissonBinomial",
     "Record",
-    "ScoredCandidate",
     "Segment",
     "Trajectory",
     "TrajectoryDatabase",
@@ -95,7 +87,6 @@ __all__ = [
     "open_store",
     "perceptiveness",
     "precision_at_k",
-    "rank_candidates",
     "rejection_pvalue",
     "save_database",
     "selectiveness",

@@ -1,4 +1,4 @@
-"""Core FTL machinery: data model, alignment, models, matchers, metrics."""
+"""Core FTL machinery: data model, alignment, models, the linking engine, metrics."""
 
 from repro.core.alignment import (
     AlignedTrajectory,
@@ -25,7 +25,6 @@ from repro.core.diagnostics import (
     format_model_table,
     model_table,
 )
-from repro.core.filtering import AlphaFilter, FilterDecision
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.linker import Candidate, FTLLinker, LinkResult
 from repro.core.metrics import (
@@ -35,32 +34,26 @@ from repro.core.metrics import (
     selectiveness,
 )
 from repro.core.models import CompatibilityModel
-from repro.core.naive_bayes import NaiveBayesMatcher, NBDecision
 from repro.core.prefilter import (
     MutualSegmentCountPrefilter,
     NullPrefilter,
     TimeOverlapPrefilter,
 )
-from repro.core.ranking import rank_candidates, score_candidate
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
 
 __all__ = [
     "AlignedTrajectory",
-    "AlphaFilter",
     "CacheStats",
     "Candidate",
     "CompatibilityModel",
     "FTLLinker",
-    "FilterDecision",
     "LinkEngine",
     "LinkOptions",
     "LinkResult",
     "ProfileCache",
     "MutualSegmentCountPrefilter",
     "MutualSegmentProfile",
-    "NBDecision",
-    "NaiveBayesMatcher",
     "NullPrefilter",
     "Record",
     "Segment",
@@ -80,8 +73,6 @@ __all__ = [
     "mutual_segment_profile",
     "perceptiveness",
     "precision_at_k",
-    "rank_candidates",
     "rejection_pvalue",
-    "score_candidate",
     "selectiveness",
 ]

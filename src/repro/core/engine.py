@@ -30,8 +30,7 @@ preserves each candidate's segment order, every per-candidate reduction
 values in exactly the same order as the per-pair code did.
 
 :class:`LinkOptions` is the single source of the linking hyperparameter
-defaults (previously scattered over ``FTLLinker``, ``parallel`` and the
-CLI)::
+defaults::
 
     opts = LinkOptions(method="alpha-filter", alpha1=0.01, alpha2=0.1)
     engine = LinkEngine(mr, ma, options=opts)
@@ -60,7 +59,7 @@ from repro.core.hypothesis import (
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
-from repro.kernels import KERNEL_BACKENDS, resolve_kernel_backend
+from repro.kernels import resolve_kernel_backend
 from repro.obs import record_evidence, span
 
 #: The two linking algorithms of the paper (Sections IV-D and IV-E).
@@ -78,8 +77,7 @@ DEFAULT_PROFILE_CACHE_SIZE = 65536
 class LinkOptions:
     """The linking hyperparameters, in one frozen bundle.
 
-    This is the single source of the defaults previously duplicated by
-    ``FTLLinker``, ``repro.parallel`` and the CLI.
+    This is the single source of the linking defaults.
 
     Parameters
     ----------
@@ -97,11 +95,6 @@ class LinkOptions:
     prefilter:
         Optional candidate pre-filter (see :mod:`repro.core.prefilter`)
         applied before the statistical tests.
-    kernel_backend:
-        Hot-path kernel implementation override (``"auto"``,
-        ``"numpy"`` or ``"python"``; see
-        :mod:`repro.kernels`).  ``None`` defers to the models'
-        :attr:`~repro.config.FTLConfig.kernel_backend`.
     """
 
     method: str = "naive-bayes"
@@ -110,20 +103,11 @@ class LinkOptions:
     phi_r: float = 0.01
     top_k: int | None = None
     prefilter: Any = None
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; known: {METHODS}"
-            )
-        if (
-            self.kernel_backend is not None
-            and self.kernel_backend not in KERNEL_BACKENDS
-        ):
-            raise ValidationError(
-                f"unknown kernel_backend {self.kernel_backend!r}; "
-                f"known: {KERNEL_BACKENDS}"
             )
         if not 0.0 <= self.alpha1 <= 1.0:
             raise ValidationError(f"alpha1 must be in [0, 1], got {self.alpha1}")
@@ -279,8 +263,8 @@ class QueryEvidence:
         """Same-person mask under Naive-Bayes with prior ``phi_r``."""
         if not 0.0 < phi_r < 1.0:
             raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
-        threshold = math.log(1.0 - phi_r) - math.log(phi_r)
-        return self.llr >= threshold
+        ratio = _log_posterior_ratio(self.ll_rejection, self.ll_acceptance, phi_r)
+        return ratio >= 0.0
 
     def scores(self) -> np.ndarray:
         """Eq. 2 ranking scores ``v = p1 * (1 - p2)`` per candidate."""
@@ -288,7 +272,12 @@ class QueryEvidence:
 
 
 def _log_posterior_ratio(ll_r, ll_a, phi_r: float):
-    """``log(phi_r L(Mr)) - log(phi_a L(Ma))``; Naive-Bayes matches at ``>= 0``."""
+    """``log(phi_r L(Mr)) - log(phi_a L(Ma))``; Naive-Bayes matches at ``>= 0``.
+
+    The one float form of the Sec. IV-E rule: the engine, the
+    :meth:`QueryEvidence.naive_bayes_mask` sweeps and the streaming
+    linker all evaluate it, so they agree on boundary pairs too.
+    """
     return (math.log(phi_r) + ll_r) - (math.log(1.0 - phi_r) + ll_a)
 
 
@@ -498,14 +487,8 @@ class LinkEngine:
             )
         self._options = options
         self._cache = profile_cache if profile_cache is not None else ProfileCache()
-        # Kernel backend, resolved once: explicit options override, else
-        # the config the models were fitted under.
-        requested = (
-            options.kernel_backend
-            if options.kernel_backend is not None
-            else self._mr.config.kernel_backend
-        )
-        self._kernel = resolve_kernel_backend(requested)
+        # Kernel backend, resolved once from the models' config.
+        self._kernel = resolve_kernel_backend(self._mr.config.kernel_backend)
         # Per-bucket probability and log-likelihood tables, quantised at
         # construction.  _PoolEvidence keeps only in-horizon buckets, so
         # a flat ``table[buckets]`` gather reproduces ``probs_for``
@@ -669,14 +652,29 @@ class LinkEngine:
         pool = candidates if isinstance(candidates, list) else list(candidates)
         flat = self._flatten(pool)
         ids = tuple(c.traj_id for c in pool)
-        return [
-            self._profile_evidence(
-                self._cache.get_many(query, pool, self.config, self._kernel, flat),
-                ids,
-                query.traj_id,
+        results = []
+        for query in queries:
+            profiles = self._cache.get_many(
+                query, pool, self.config, self._kernel, flat
             )
-            for query in queries
-        ]
+            ev = _PoolEvidence(profiles, self._mr.n_buckets)
+            everyone = range(ev.n)
+            p1 = self._tails("r", ev, self._table_r[ev.buckets], everyone)
+            p2 = self._tails("a", ev, self._table_a[ev.buckets], everyone)
+            ll_r, ll_a = self._log_likelihoods(ev)
+            results.append(
+                QueryEvidence(
+                    query_id=query.traj_id,
+                    candidate_ids=ids,
+                    p1=np.array(p1, dtype=np.float64),
+                    p2=np.array(p2, dtype=np.float64),
+                    ll_rejection=ll_r,
+                    ll_acceptance=ll_a,
+                    n_mutual=ev.n_mutual,
+                    n_incompatible=ev.n_incompatible,
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------
     # Internals
@@ -686,29 +684,6 @@ class LinkEngine:
         if self._kernel == "python" or not pool:
             return None
         return FlatPool(pool)
-
-    def _profile_evidence(
-        self,
-        profiles: Sequence[MutualSegmentProfile],
-        candidate_ids: Sequence[object],
-        query_id: object = None,
-    ) -> QueryEvidence:
-        """The :class:`QueryEvidence` of already-computed pair profiles."""
-        ev = _PoolEvidence(profiles, self._mr.n_buckets)
-        everyone = range(ev.n)
-        p1 = self._tails("r", ev, self._table_r[ev.buckets], everyone)
-        p2 = self._tails("a", ev, self._table_a[ev.buckets], everyone)
-        ll_r, ll_a = self._log_likelihoods(ev)
-        return QueryEvidence(
-            query_id=query_id,
-            candidate_ids=tuple(candidate_ids),
-            p1=np.array(p1, dtype=np.float64),
-            p2=np.array(p2, dtype=np.float64),
-            ll_rejection=ll_r,
-            ll_acceptance=ll_a,
-            n_mutual=ev.n_mutual,
-            n_incompatible=ev.n_incompatible,
-        )
 
     def _link_one(
         self,

@@ -99,9 +99,9 @@ def explain_pair(
 
     The contributions sum exactly to
     ``log L(Mr) - log L(Ma)`` as computed by
-    :class:`~repro.core.naive_bayes.NaiveBayesMatcher` (with the same
-    probability clamping); segments beyond the model horizon carry zero
-    contribution and are omitted.
+    :meth:`~repro.core.engine.LinkEngine.evidence` (``QueryEvidence.llr``,
+    with the same probability clamping); segments beyond the model
+    horizon carry zero contribution and are omitted.
     """
     mr, ma = require_fitted_pair(rejection_model, acceptance_model)
     config = mr.config

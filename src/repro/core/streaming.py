@@ -9,26 +9,22 @@ them in O(log n) per record: inserting a record into the alignment
 splits exactly one segment into two, so only those three segments'
 contributions change.
 
-From the maintained tallies both matchers are evaluated exactly:
-
-* Naive-Bayes needs only the per-(bucket, outcome) counts;
-* the Poisson-Binomial tests need the *multiset* of per-segment model
-  probabilities, which is exactly the per-bucket count vector.
+Naive-Bayes (paper Section IV-E) needs only the per-(bucket, outcome)
+counts, so it is evaluated exactly from the maintained tallies.
 
 :class:`StreamingLinker` manages one :class:`StreamingPairEvidence` per
-(query, candidate) pair and exposes the same decision semantics as the
-batch matchers; equivalence with the batch path is covered by tests.
+(query, candidate) pair and takes its decisions with the engine's
+Naive-Bayes rule; equivalence with the batch path is covered by tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import FTLConfig
-from repro.core.hypothesis import acceptance_pvalue_arrays, rejection_pvalue_arrays
+from repro.core.engine import _log_posterior_ratio
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
@@ -159,10 +155,10 @@ class StreamingPairEvidence:
     # ------------------------------------------------------------------
     # Decisions (exact, from the tallies)
     # ------------------------------------------------------------------
-    def log_likelihood_ratio(
+    def log_likelihoods(
         self, mr: CompatibilityModel, ma: CompatibilityModel
-    ) -> float:
-        """``log L(Mr) - log L(Ma)`` of the current evidence."""
+    ) -> tuple[float, float]:
+        """``(log L(Mr), log L(Ma))`` of the current evidence."""
         floor = self._config.prob_floor
         buckets = np.arange(self._config.n_buckets)
         p_r = np.clip(mr.probs_for(buckets), floor, 1 - floor)
@@ -174,24 +170,7 @@ class StreamingPairEvidence:
         ll_a = float(
             (incompat * np.log(p_a)).sum() + (compat * np.log1p(-p_a)).sum()
         )
-        return ll_r - ll_a
-
-    def _per_segment_probs(self, model: CompatibilityModel) -> np.ndarray:
-        totals = self._counts.sum(axis=0)
-        buckets = np.repeat(np.arange(self._config.n_buckets), totals)
-        return model.probs_for(buckets)
-
-    def rejection_pvalue(self, mr: CompatibilityModel) -> float:
-        """``Pr(K >= k_obs | Mr)`` of the current evidence."""
-        return rejection_pvalue_arrays(
-            self._per_segment_probs(mr), self.n_incompatible, self._config.pb_backend
-        )
-
-    def acceptance_pvalue(self, ma: CompatibilityModel) -> float:
-        """``Pr(K <= k_obs | Ma)`` of the current evidence."""
-        return acceptance_pvalue_arrays(
-            self._per_segment_probs(ma), self.n_incompatible, self._config.pb_backend
-        )
+        return ll_r, ll_a
 
 
 @dataclass(frozen=True)
@@ -212,9 +191,8 @@ class StreamingLinker:
     :meth:`observe_candidate`; :meth:`decisions` returns the current
     per-candidate NB decision, and :meth:`matches` the positives.  The
     decision at any instant equals what the batch
-    :class:`~repro.core.engine.LinkEngine` (through its per-pair view
-    :class:`~repro.core.naive_bayes.NaiveBayesMatcher`) would produce on
-    the records seen so far (tested).
+    :class:`~repro.core.engine.LinkEngine` would produce on the records
+    seen so far (tested).
     """
 
     def __init__(
@@ -302,8 +280,8 @@ class StreamingLinker:
             evidence = self._pairs[candidate_id]
         except KeyError:
             raise ValidationError(f"unknown candidate {candidate_id!r}") from None
-        llr = evidence.log_likelihood_ratio(self._mr, self._ma)
-        ratio = llr + math.log(self._phi_r) - math.log(1.0 - self._phi_r)
+        ll_r, ll_a = evidence.log_likelihoods(self._mr, self._ma)
+        ratio = _log_posterior_ratio(ll_r, ll_a, self._phi_r)
         return StreamDecision(
             candidate_id=candidate_id,
             same_person=ratio >= 0.0,

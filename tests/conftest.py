@@ -88,3 +88,61 @@ def graph_of():
         )
 
     return build
+
+
+@pytest.fixture(scope="session")
+def oracle_evidence():
+    """Build a ``QueryEvidence`` from the per-pair oracle functions.
+
+    ``build(profiles, mr, ma, candidate_ids=None)`` evaluates
+    :mod:`repro.core.hypothesis` on each profile, so the decision rules
+    (the ``QueryEvidence`` masks and ``scores()``) can be tested on
+    hand-made profiles.  ``test_engine.py::TestEvidenceOracle`` shows
+    that ``LinkEngine.evidence`` returns these values bit for bit.
+    """
+    from repro.core.engine import QueryEvidence
+    from repro.core.hypothesis import (
+        acceptance_pvalue,
+        log_likelihood,
+        rejection_pvalue,
+    )
+
+    def build(profiles, mr, ma, candidate_ids=None):
+        within = [p.within_horizon(mr.n_buckets) for p in profiles]
+        if candidate_ids is None:
+            candidate_ids = [None] * len(profiles)
+        return QueryEvidence(
+            query_id=None,
+            candidate_ids=tuple(candidate_ids),
+            p1=np.array([rejection_pvalue(p, mr) for p in profiles]),
+            p2=np.array([acceptance_pvalue(p, ma) for p in profiles]),
+            ll_rejection=np.array([log_likelihood(p, mr) for p in profiles]),
+            ll_acceptance=np.array([log_likelihood(p, ma) for p in profiles]),
+            n_mutual=np.array([w.n_total for w in within], dtype=np.int64),
+            n_incompatible=np.array(
+                [w.n_incompatible for w in within], dtype=np.int64
+            ),
+        )
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def with_kernel_backend():
+    """``build(models, backend)``: the model pair under a config naming ``backend``.
+
+    The models' :class:`~repro.config.FTLConfig` is the one place a
+    kernel backend is chosen, so engines are pinned to a backend by
+    building them from such a pair.
+    """
+    from dataclasses import replace
+
+    def build(models, backend):
+        return tuple(
+            CompatibilityModel(
+                m.kind, m.counts, replace(m.config, kernel_backend=backend)
+            )
+            for m in models
+        )
+
+    return build

@@ -150,16 +150,15 @@ class TestEndToEnd:
 
     def test_assignment_at_least_as_good_as_top1(self, small_pair, engine):
         """Global assignment should not be worse than independent top-1."""
-        from repro.core.ranking import rank_candidates
-
-        mr, ma = engine.rejection_model, engine.acceptance_model
         rng = np.random.default_rng(1)
         qids = small_pair.sample_queries(15, rng)
+        evidence = engine.evidence(
+            [small_pair.p_db[qid] for qid in qids], small_pair.q_db
+        )
         top1_hits = sum(
             1
-            for qid in qids
-            if rank_candidates(small_pair.p_db[qid], small_pair.q_db, mr, ma)[0]
-            .candidate_id
+            for qid, qe in zip(qids, evidence)
+            if qe.candidate_ids[np.argsort(-qe.scores(), kind="stable")[0]]
             == small_pair.truth[qid]
         )
         assignment = solve(self.graph(engine, small_pair, qids), "reference")

@@ -15,7 +15,6 @@ from repro.core.engine import (
     LinkOptions,
     ProfileCache,
 )
-from repro.core.filtering import AlphaFilter
 from repro.core.hypothesis import (
     acceptance_pvalue,
     log_likelihood,
@@ -469,7 +468,9 @@ class TestEvidenceOracle:
         st.floats(0.0, 1.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_evidence_equals_oracle(self, query_pool, mr, ma, alpha1):
+    def test_evidence_equals_oracle(
+        self, with_kernel_backend, query_pool, mr, ma, alpha1
+    ):
         query, pool = query_pool
         profiles = [mutual_segment_profile(query, c, ORACLE_CONFIG) for c in pool]
         within = [p.within_horizon(ORACLE_CONFIG.n_buckets) for p in profiles]
@@ -477,7 +478,7 @@ class TestEvidenceOracle:
         p2 = [acceptance_pvalue(p, ma) for p in profiles]
         llr = [log_likelihood(p, mr) - log_likelihood(p, ma) for p in profiles]
         for kernel in ("numpy", "python"):
-            engine = LinkEngine(mr, ma, LinkOptions(kernel_backend=kernel))
+            engine = LinkEngine(*with_kernel_backend((mr, ma), kernel))
             [evidence] = engine.evidence([query], pool)
             assert evidence.query_id == "q"
             assert evidence.candidate_ids == tuple(c.traj_id for c in pool)
@@ -489,11 +490,9 @@ class TestEvidenceOracle:
                 w.n_incompatible for w in within
             ]
 
-        matcher = AlphaFilter(mr, ma, alpha1=alpha1, alpha2=0.5)
-        for profile, oracle_p1 in zip(profiles, p1):
-            decision = matcher.decide_profile(profile)
-            assert decision.p_rejection == oracle_p1
-            assert (decision.p_acceptance is None) == (oracle_p1 < alpha1)
+        accepted = evidence.alpha_filter_mask(alpha1, 0.5)
+        for ok, oracle_p1, oracle_p2 in zip(accepted, p1, p2):
+            assert ok == (oracle_p1 >= alpha1 and oracle_p2 < 0.5)
 
     def test_empty_pool(self, fitted_models, query_set):
         [evidence] = make_engine(fitted_models).evidence(query_set[:1], [])

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.engine import LinkEngine
 from repro.core.explain import explain_pair
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.errors import ValidationError
 
 
@@ -19,19 +19,17 @@ def pair_and_models(small_pair, fitted_models):
 class TestFaithfulness:
     def test_contributions_sum_to_matcher_llr(self, pair_and_models):
         pair, mr, ma, pid, qid, other = pair_and_models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.5)
+        engine = LinkEngine(mr, ma)
         for cid in (qid, other):
             explanation = explain_pair(
                 pair.p_db[pid], pair.q_db[cid], mr, ma
             )
-            decision = matcher.decide(pair.p_db[pid], pair.q_db[cid])
-            matcher_llr = (
-                decision.log_likelihood_rejection
-                - decision.log_likelihood_acceptance
+            [evidence] = engine.evidence([pair.p_db[pid]], [pair.q_db[cid]])
+            assert explanation.total_llr == pytest.approx(
+                evidence.llr[0], abs=1e-9
             )
-            assert explanation.total_llr == pytest.approx(matcher_llr, abs=1e-9)
-            assert explanation.n_mutual == decision.n_mutual
-            assert explanation.n_incompatible == decision.n_incompatible
+            assert explanation.n_mutual == evidence.n_mutual[0]
+            assert explanation.n_incompatible == evidence.n_incompatible[0]
 
     def test_segment_sum_matches_total(self, pair_and_models):
         pair, mr, ma, pid, qid, _other = pair_and_models

@@ -6,8 +6,6 @@ kernels — produce bit-identical mutual-segment profiles,
 Poisson-Binomial pmfs, and end-to-end rankings.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from repro.core.alignment import (
     mutual_segment_profile,
 )
 from repro.core.engine import LinkEngine, LinkOptions
-from repro.core.models import CompatibilityModel
 from repro.core.trajectory import Trajectory
 from repro.errors import ValidationError
 from repro.kernels import KERNEL_BACKENDS, resolve_kernel_backend
@@ -39,19 +36,6 @@ class TestResolution:
     def test_explicit_backends_pass_through(self, name):
         assert resolve_kernel_backend(name) == name
 
-    @pytest.mark.parametrize(
-        "config_backend, options_backend",
-        [("python", "numpy"), ("numpy", "python")],
-    )
-    def test_options_override_config(
-        self, fitted_models, config_backend, options_backend
-    ):
-        models = with_kernel_backend(fitted_models, config_backend)
-        engine = LinkEngine(
-            *models, options=LinkOptions(kernel_backend=options_backend)
-        )
-        assert engine.kernel_backend == options_backend
-
     def test_numba_request_degrades_gracefully(self):
         """The deleted numba backend is refused with a typed error.
 
@@ -61,7 +45,6 @@ class TestResolution:
         for request in (
             lambda: resolve_kernel_backend("numba"),
             lambda: FTLConfig(kernel_backend="numba"),
-            lambda: LinkOptions(kernel_backend="numba"),
         ):
             with pytest.raises(ValidationError, match="numpy"):
                 request()
@@ -73,21 +56,11 @@ class TestResolution:
     def test_config_and_options_validate_backend(self):
         with pytest.raises(ValidationError):
             FTLConfig(kernel_backend="fortran")
-        with pytest.raises(ValidationError):
-            LinkOptions(kernel_backend="fortran")
         for name in KERNEL_BACKENDS:
             FTLConfig(kernel_backend=name)
-            LinkOptions(kernel_backend=name)
-
-
-def with_kernel_backend(fitted_models, backend):
-    """The fitted model pair under a config naming another kernel backend."""
-    return tuple(
-        CompatibilityModel(
-            m.kind, m.counts, replace(m.config, kernel_backend=backend)
-        )
-        for m in fitted_models
-    )
+        # The config is the one backend knob: options carry none.
+        with pytest.raises(TypeError):
+            LinkOptions(kernel_backend="numpy")
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +238,7 @@ class TestEngineBackendIdentity:
         ids=["naive-bayes", "ranking"],
     )
     def test_link_batch_identical_across_backends(
-        self, fitted_models, small_pair, options
+        self, fitted_models, with_kernel_backend, small_pair, options
     ):
         mr, ma = fitted_models
         rng = np.random.default_rng(17)
@@ -275,22 +248,21 @@ class TestEngineBackendIdentity:
         results = {}
         for backend in ("python", "numpy"):
             engine = LinkEngine(
-                mr, ma, options=options.with_updates(kernel_backend=backend)
+                *with_kernel_backend((mr, ma), backend), options=options
             )
             assert engine.kernel_backend == resolve_kernel_backend(backend)
             results[backend] = engine.link_batch(queries, pool)
         assert results["numpy"] == results["python"]
 
-    def test_stage_backends_surface(self, fitted_models):
-        mr, ma = fitted_models
-        engine = LinkEngine(
-            mr, ma, options=LinkOptions(kernel_backend="numpy")
-        )
+    def test_stage_backends_surface(self, fitted_models, with_kernel_backend):
+        engine = LinkEngine(*with_kernel_backend(fitted_models, "numpy"))
         stages = engine.stage_backends()
         assert stages["profile"] == "numpy"
         assert stages["pb_test"] == "dp[numpy]"
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_config_backend_reaches_engine(self, fitted_models, backend):
+    def test_config_backend_reaches_engine(
+        self, fitted_models, with_kernel_backend, backend
+    ):
         engine = LinkEngine(*with_kernel_backend(fitted_models, backend))
         assert engine.kernel_backend == backend

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import FTLConfig
-from repro.core.filtering import AlphaFilter
-from repro.core.naive_bayes import NaiveBayesMatcher
+from repro.core.engine import LinkEngine, LinkOptions
 from repro.errors import ValidationError
 from repro.pipeline.experiment import (
     collect_evidence,
@@ -51,23 +50,30 @@ class TestEvidence:
             assert np.all((qe.p1 >= 0) & (qe.p1 <= 1))
             assert np.all((qe.p2 >= 0) & (qe.p2 <= 1))
 
+    @staticmethod
+    def linked_ids(pair, mr, ma, qe, options):
+        result = LinkEngine(mr, ma, options).link(pair.p_db[qe.query_id], pair.q_db)
+        return sorted(result.candidate_ids())
+
+    @staticmethod
+    def masked_ids(qe, mask):
+        return sorted(cid for cid, keep in zip(qe.candidate_ids, mask) if keep)
+
     def test_alpha_mask_matches_matcher(self, evidence_bundle):
         pair, mr, ma, _qids, evidence = evidence_bundle
-        matcher = AlphaFilter(mr, ma, 0.01, 0.1)
-        qe = evidence.queries[0]
-        mask = qe.alpha_filter_mask(0.01, 0.1)
-        for cid, accepted in zip(qe.candidate_ids, mask):
-            decision = matcher.decide(pair.p_db[qe.query_id], pair.q_db[cid])
-            assert decision.accepted == bool(accepted)
+        options = LinkOptions(method="alpha-filter", alpha1=0.01, alpha2=0.1)
+        for qe in evidence:
+            assert self.masked_ids(
+                qe, qe.alpha_filter_mask(0.01, 0.1)
+            ) == self.linked_ids(pair, mr, ma, qe, options)
 
     def test_nb_mask_matches_matcher(self, evidence_bundle):
         pair, mr, ma, _qids, evidence = evidence_bundle
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
-        qe = evidence.queries[0]
-        mask = qe.naive_bayes_mask(0.05)
-        for cid, same in zip(qe.candidate_ids, mask):
-            decision = matcher.decide(pair.p_db[qe.query_id], pair.q_db[cid])
-            assert decision.same_person == bool(same)
+        options = LinkOptions(method="naive-bayes", phi_r=0.05)
+        for qe in evidence:
+            assert self.masked_ids(
+                qe, qe.naive_bayes_mask(0.05)
+            ) == self.linked_ids(pair, mr, ma, qe, options)
 
     def test_nb_mask_phi_validation(self, evidence_bundle):
         _pair, _mr, _ma, _qids, evidence = evidence_bundle

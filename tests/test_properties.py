@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.config import FTLConfig
 from repro.core.alignment import MutualSegmentProfile, mutual_segment_profile
-from repro.core.filtering import AlphaFilter
 from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
 from repro.core.models import (
     ACCEPTANCE,
@@ -22,7 +21,6 @@ from repro.core.models import (
     BucketCounts,
     CompatibilityModel,
 )
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.trajectory import Trajectory
 from repro.stats.poisson_binomial import PoissonBinomial
 
@@ -194,38 +192,39 @@ class TestMatcherConsistency:
     @given(profile_strategy(), model_pair_strategy(),
            st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
-    def test_alpha_filter_decision_formula(self, profile, models, a1, a2):
+    def test_alpha_filter_decision_formula(
+        self, oracle_evidence, profile, models, a1, a2
+    ):
         mr, ma = models
-        matcher = AlphaFilter(mr, ma, a1, a2)
-        decision = matcher.decide_profile(profile)
+        [accepted] = oracle_evidence([profile], mr, ma).alpha_filter_mask(a1, a2)
         p1 = rejection_pvalue(profile, mr)
         if p1 < a1:
-            assert not decision.accepted
-            assert decision.rejected_in_phase1
+            assert not accepted
         else:
             p2 = acceptance_pvalue(profile, ma)
-            assert decision.accepted == (p2 < a2)
+            assert accepted == (p2 < a2)
 
     @given(profile_strategy(), model_pair_strategy(), st.floats(0.01, 0.99))
     @settings(max_examples=50, deadline=None)
-    def test_nb_decision_equals_llr_threshold(self, profile, models, phi_r):
+    def test_nb_decision_equals_llr_threshold(
+        self, oracle_evidence, profile, models, phi_r
+    ):
         mr, ma = models
-        matcher = NaiveBayesMatcher(mr, ma, phi_r)
-        decision = matcher.decide_profile(profile)
-        llr = (
-            decision.log_likelihood_rejection
-            - decision.log_likelihood_acceptance
-        )
-        threshold = math.log(1.0 - phi_r) - math.log(phi_r)
-        assert decision.same_person == (llr >= threshold)
+        evidence = oracle_evidence([profile], mr, ma)
+        [same_person] = evidence.naive_bayes_mask(phi_r)
+        # Sec. IV-E: compare the two log posteriors (float-exactly the
+        # sign of their difference, which is what the engine tests).
+        posterior_r = math.log(phi_r) + evidence.ll_rejection[0]
+        posterior_a = math.log(1.0 - phi_r) + evidence.ll_acceptance[0]
+        assert same_person == (posterior_r >= posterior_a)
 
     @given(profile_strategy(), model_pair_strategy())
     @settings(max_examples=50, deadline=None)
-    def test_nb_loose_prior_superset(self, profile, models):
-        mr, ma = models
-        strict = NaiveBayesMatcher(mr, ma, 0.01).decide_profile(profile)
-        loose = NaiveBayesMatcher(mr, ma, 0.6).decide_profile(profile)
-        assert loose.same_person or not strict.same_person
+    def test_nb_loose_prior_superset(self, oracle_evidence, profile, models):
+        evidence = oracle_evidence([profile], *models)
+        [strict] = evidence.naive_bayes_mask(0.01)
+        [loose] = evidence.naive_bayes_mask(0.6)
+        assert loose or not strict
 
 
 # ----------------------------------------------------------------------

@@ -7,13 +7,13 @@ unit-tested without sockets (deterministic clocks, no sleeps).
 
 import http.client
 import json
+import math
 import threading
 import time
 
 import pytest
 
 from repro.core.engine import LinkEngine, LinkOptions
-from repro.core.naive_bayes import NaiveBayesMatcher
 from repro.core.records import Record
 from repro.core.streaming import SOURCE_P, SOURCE_Q, StreamingPairEvidence
 from repro.core.trajectory import Trajectory
@@ -31,6 +31,16 @@ from repro.service.server import BackgroundServer, LinkServer, ServerConfig
 from repro.service.state import Metrics, ServiceState
 
 RANKING = LinkOptions(method="alpha-filter", alpha1=0.0, alpha2=1.0)
+
+
+def assert_matches_batch_nb(decision, mr, ma, query, candidate, phi_r):
+    """``decision`` equals the batch engine's Naive-Bayes view of the pair."""
+    [evidence] = LinkEngine(mr, ma).evidence([query], [candidate])
+    ratio = evidence.llr[0] + math.log(phi_r) - math.log(1.0 - phi_r)
+    assert decision["same_person"] == evidence.naive_bayes_mask(phi_r)[0]
+    assert decision["n_mutual"] == evidence.n_mutual[0]
+    assert decision["n_incompatible"] == evidence.n_incompatible[0]
+    assert decision["log_posterior_ratio"] == pytest.approx(ratio)
 
 
 @pytest.fixture(scope="module")
@@ -503,18 +513,11 @@ class TestIngestSessions:
         (decision,) = response["decisions"]
 
         # The session linker inherits the server options' phi_r (0.01).
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=RANKING.phi_r)
         q_traj = Trajectory([r[0] for r in query], [r[1] for r in query],
                             [r[2] for r in query], "q")
         c_traj = Trajectory([r[0] for r in cand], [r[1] for r in cand],
                             [r[2] for r in cand], "c1")
-        expected = matcher.decide(q_traj, c_traj)
-        assert decision["same_person"] == expected.same_person
-        assert decision["n_mutual"] == expected.n_mutual
-        assert decision["n_incompatible"] == expected.n_incompatible
-        assert decision["log_posterior_ratio"] == pytest.approx(
-            expected.log_posterior_ratio
-        )
+        assert_matches_batch_nb(decision, mr, ma, q_traj, c_traj, RANKING.phi_r)
 
     def test_sessions_accumulate_and_report(self, client):
         query, cand = _session_records()
@@ -613,19 +616,14 @@ class TestIngestSessions:
         decision = entry.linker.decision("c1")
         assert entry.linker.n_query_records == len(new_query)
 
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
         q_traj = Trajectory([r[0] for r in new_query],
                             [r[1] for r in new_query],
                             [r[2] for r in new_query], "q")
         c_traj = Trajectory([r[0] for r in new_cand],
                             [r[1] for r in new_cand],
                             [r[2] for r in new_cand], "c1")
-        fresh = matcher.decide(q_traj, c_traj)
-        assert decision.same_person == fresh.same_person
-        assert decision.n_mutual == fresh.n_mutual
-        assert decision.n_incompatible == fresh.n_incompatible
-        assert decision.log_posterior_ratio == pytest.approx(
-            fresh.log_posterior_ratio
+        assert_matches_batch_nb(
+            vars(decision), mr, ma, q_traj, c_traj, phi_r=0.05
         )
         assert state.metrics.counter("sessions_expired_total") == 1
 

@@ -1,5 +1,7 @@
 """Streaming/incremental linking: equivalence with the batch path."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
-from repro.core.hypothesis import acceptance_pvalue, rejection_pvalue
-from repro.core.naive_bayes import NaiveBayesMatcher
+from repro.core.engine import LinkEngine
 from repro.core.records import Record
 from repro.core.streaming import (
     SOURCE_P,
@@ -105,22 +106,6 @@ class TestStreamingPairEvidence:
         expected_bucket = int(config.buckets_of(np.asarray([dt]))[0])
         assert evidence.bucket_counts()[0, expected_bucket] == 1
 
-    def test_pvalues_match_batch(self, config, fitted_models):
-        mr, ma = fitted_models
-        rng = np.random.default_rng(2)
-        p = random_traj(rng, 25)
-        q = random_traj(rng, 20)
-        evidence = StreamingPairEvidence(config)
-        evidence.extend(p, SOURCE_P)
-        evidence.extend(q, SOURCE_Q)
-        profile = mutual_segment_profile(p, q, config)
-        assert evidence.rejection_pvalue(mr) == pytest.approx(
-            rejection_pvalue(profile, mr), abs=1e-12
-        )
-        assert evidence.acceptance_pvalue(ma) == pytest.approx(
-            acceptance_pvalue(profile, ma), abs=1e-12
-        )
-
     def test_llr_matches_batch_nb(self, config, fitted_models):
         mr, ma = fitted_models
         rng = np.random.default_rng(3)
@@ -129,14 +114,9 @@ class TestStreamingPairEvidence:
         evidence = StreamingPairEvidence(config)
         evidence.extend(p, SOURCE_P)
         evidence.extend(q, SOURCE_Q)
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.05)
-        batch = matcher.decide(p.with_id("p"), q.with_id("q"))
-        batch_llr = (
-            batch.log_likelihood_rejection - batch.log_likelihood_acceptance
-        )
-        assert evidence.log_likelihood_ratio(mr, ma) == pytest.approx(
-            batch_llr, abs=1e-9
-        )
+        [batch] = LinkEngine(mr, ma).evidence([p.with_id("p")], [q.with_id("q")])
+        ll_r, ll_a = evidence.log_likelihoods(mr, ma)
+        assert ll_r - ll_a == pytest.approx(batch.llr[0], abs=1e-9)
 
     def test_expire_before_matches_fresh_build(self, config):
         rng = np.random.default_rng(5)
@@ -209,14 +189,34 @@ class TestStreamingLinker:
         for record in pair.q_db[other]:
             linker.observe_candidate(other, record)
 
-        matcher = NaiveBayesMatcher(mr, ma, phi_r=0.1)
+        engine = LinkEngine(mr, ma)
         for cid in (qid, other):
             stream = linker.decision(cid)
-            batch = matcher.decide(pair.p_db[pid], pair.q_db[cid])
-            assert stream.same_person == batch.same_person
+            [batch] = engine.evidence([pair.p_db[pid]], [pair.q_db[cid]])
+            assert stream.same_person == batch.naive_bayes_mask(0.1)[0]
             assert stream.log_posterior_ratio == pytest.approx(
-                batch.log_posterior_ratio, abs=1e-9
+                batch.llr[0] + math.log(0.1) - math.log(0.9), abs=1e-9
             )
+
+    def test_boundary_pair_takes_engine_rule(self, fitted_models, monkeypatch):
+        """The stream decides with the engine's float form of the NB rule.
+
+        At these log-likelihoods ``llr + log(phi_r) - log(phi_a)`` is
+        negative while the engine's ``(log(phi_r) + ll_r) - (log(phi_a)
+        + ll_a)`` is not, so only one rule can say same person.
+        """
+        mr, ma = fitted_models
+        ll_r, ll_a = -49.418028324663055, -51.61525290199927
+        monkeypatch.setattr(
+            StreamingPairEvidence, "log_likelihoods", lambda *_: (ll_r, ll_a)
+        )
+        linker = StreamingLinker(mr, ma, phi_r=0.1)
+        linker.add_candidate("c")
+        decision = linker.decision("c")
+        assert decision.log_posterior_ratio == (
+            (math.log(0.1) + ll_r) - (math.log(0.9) + ll_a)
+        )
+        assert decision.same_person
 
     def test_true_match_emerges(self, setup):
         pair, linker, pid, qid = setup
