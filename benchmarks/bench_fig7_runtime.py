@@ -46,5 +46,6 @@ def test_fig7_runtime(benchmark, config, title, names):
     print(format_runtime(results))
 
     # Paper claim: NB is faster than alpha-filtering on every config.
+    # Each figure is a median of alternating repeats (run_runtime_eval).
     for result in results:
         assert result.naive_bayes_s < result.alpha_filter_s, result

@@ -35,13 +35,26 @@ from repro.obs import span
 #: alpha2=1 only drops p2 == 1 pairs, whose Eq. 2 score is exactly 0 —
 #: below any ``min_score >= 0`` threshold anyway.  With these options
 #: the graph's edges are the :class:`~repro.core.engine.LinkEngine`
-#: Eq. 2 scores of every pair; the
-#: subsystem's entry points default to them so the solver sees every
-#: positive-score edge and decides globally.  Pass an explicit
-#: ``options`` to restrict edges to decision-passing pairs instead.
+#: Eq. 2 scores of every pair; the subsystem's entry points default to
+#: them so the solver sees every positive-score edge and decides
+#: globally; :func:`edge_scoring_options` computes ``p2`` only where
+#: ``p1 >= min_score``.  Pass an explicit ``options`` to restrict edges
+#: to decision-passing pairs instead.
 PERMISSIVE_LINK_OPTIONS = LinkOptions(
     method="alpha-filter", alpha1=0.0, alpha2=1.0
 )
+
+
+def edge_scoring_options(options: LinkOptions, min_score: float) -> LinkOptions:
+    """``options`` for edge scoring: ``top_k`` off (a truncated ranking
+    drops edges); for ``alpha-filter``, alpha1 floored at ``min_score``
+    (capped at 1).  Exact: p-values lie in [0, 1], so the float score
+    ``p1 * (1 - p2)`` is at most ``p1``, and a pair with ``p1 <=
+    min_score`` never passes the strict edge test; phase 1 drops it."""
+    if options.method != "alpha-filter":
+        return options.with_updates(top_k=None)
+    alpha1 = min(max(options.alpha1, min_score), 1.0)
+    return options.with_updates(top_k=None, alpha1=alpha1)
 
 
 @dataclass(frozen=True)
@@ -153,8 +166,8 @@ def build_cost_graph(
         When given, each query is scored only against its blocked
         candidate set; ``pool`` may be omitted.
     options:
-        Per-pair scoring options; ``top_k`` is forced to ``None``
-        (a truncated ranking would silently drop edges).
+        Per-pair scoring options, applied through
+        :func:`edge_scoring_options`.
     min_score:
         Strictly-greater threshold for keeping an edge.
     """
@@ -176,9 +189,9 @@ def build_cost_graph(
             index_of[cid] = len(candidate_ids)
             candidate_ids.append(cid)
 
-    resolved = options if options is not None else engine.options
-    if resolved.top_k is not None:
-        resolved = resolved.with_updates(top_k=None)
+    resolved = edge_scoring_options(
+        options if options is not None else engine.options, min_score
+    )
 
     requests: list[LinkRequest] = []
     n_scored = 0

@@ -341,16 +341,21 @@ def _cmd_stats(names: list[str]) -> int:
     return 0
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    pair = build_scenario(args.name)
-    options = LinkOptions(
+def _link_options(args: argparse.Namespace) -> LinkOptions:
+    """The options named by the shared linking flags."""
+    return LinkOptions(
         method=args.method,
         alpha1=args.alpha1,
         alpha2=args.alpha2,
         phi_r=args.phi_r,
         top_k=args.top_k,
     )
+
+
+def _cmd_link(args: argparse.Namespace) -> int:
+    rng = np.random.default_rng(args.seed)
+    pair = build_scenario(args.name)
+    options = _link_options(args)
     linker = FTLLinker(FTLConfig(), options).fit(pair.p_db, pair.q_db, rng)
     n = min(args.queries, len(pair.matched_query_ids()))
     query_ids = pair.sample_queries(n, rng)
@@ -551,13 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if mr is None:
         mr = CompatibilityModel.fit_rejection(fit_dbs, config)
         ma = CompatibilityModel.fit_acceptance(fit_dbs, config, rng)
-    options = LinkOptions(
-        method=args.method,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        phi_r=args.phi_r,
-        top_k=args.top_k,
-    )
+    options = _link_options(args)
     engine = LinkEngine(mr, ma, options=options)
     server_config = ServerConfig(
         host=args.host,

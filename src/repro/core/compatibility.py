@@ -44,29 +44,6 @@ def is_compatible(a: Record, b: Record, config: FTLConfig) -> bool:
     return dist <= config.vmax_mps * dt
 
 
-def implied_speeds_many(
-    x1: np.ndarray,
-    y1: np.ndarray,
-    x2: np.ndarray,
-    y2: np.ndarray,
-    dts_s: np.ndarray,
-    config: FTLConfig,
-) -> np.ndarray:
-    """Vectorised :func:`implied_speed` over flat endpoint arrays.
-
-    The metric is resolved once for the whole batch.  Zero-``dt``
-    segments get ``inf`` for distinct endpoints and ``0.0`` for
-    coincident ones, matching the scalar convention.
-    """
-    dists = np.asarray(config.metric_fn(x1, y1, x2, y2), dtype=np.float64)
-    dts = np.abs(np.asarray(dts_s, dtype=np.float64))
-    out = np.zeros(dists.shape, dtype=np.float64)
-    moving = dts > 0.0
-    np.divide(dists, dts, out=out, where=moving)
-    out[~moving & (dists > 0.0)] = np.inf
-    return out
-
-
 def compatibility_many(
     dists_m: np.ndarray, dts_s: np.ndarray, config: FTLConfig
 ) -> np.ndarray:

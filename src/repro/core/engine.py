@@ -281,6 +281,13 @@ def _log_posterior_ratio(ll_r, ll_a, phi_r: float):
     return (math.log(phi_r) + ll_r) - (math.log(1.0 - phi_r) + ll_a)
 
 
+def _clipped_log_tables(model: CompatibilityModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bucket ``(log p, log(1 - p))``, ``p`` clipped to ``[floor, 1 - floor]``."""
+    floor = model.config.prob_floor
+    clipped = np.clip(np.asarray(model.prob_table), floor, 1.0 - floor)
+    return np.log(clipped), np.log1p(-clipped)
+
+
 # ----------------------------------------------------------------------
 # Profile cache
 # ----------------------------------------------------------------------
@@ -494,13 +501,10 @@ class LinkEngine:
         # a flat ``table[buckets]`` gather reproduces ``probs_for``
         # exactly, and the clipped log tables are elementwise identical
         # to clipping/logging the gathered values per pool.
-        floor = self._mr.config.prob_floor
         self._table_r = np.asarray(self._mr.prob_table)
         self._table_a = np.asarray(self._ma.prob_table)
-        cl_r = np.clip(self._table_r, floor, 1.0 - floor)
-        cl_a = np.clip(self._table_a, floor, 1.0 - floor)
-        self._log_r, self._log1m_r = np.log(cl_r), np.log1p(-cl_r)
-        self._log_a, self._log1m_a = np.log(cl_a), np.log1p(-cl_a)
+        self._log_r, self._log1m_r = _clipped_log_tables(self._mr)
+        self._log_a, self._log1m_a = _clipped_log_tables(self._ma)
         # Poisson-Binomial tails memoised on in-horizon bucket content;
         # valid per engine because the model pair (hence the per-bucket
         # probability tables and backend) is fixed.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import FTLConfig
-from repro.core.engine import _log_posterior_ratio
+from repro.core.engine import _clipped_log_tables, _log_posterior_ratio
 from repro.core.models import CompatibilityModel, require_fitted_pair
 from repro.core.records import Record
 from repro.core.trajectory import Trajectory
@@ -155,21 +155,13 @@ class StreamingPairEvidence:
     # ------------------------------------------------------------------
     # Decisions (exact, from the tallies)
     # ------------------------------------------------------------------
-    def log_likelihoods(
-        self, mr: CompatibilityModel, ma: CompatibilityModel
-    ) -> tuple[float, float]:
-        """``(log L(Mr), log L(Ma))`` of the current evidence."""
-        floor = self._config.prob_floor
-        buckets = np.arange(self._config.n_buckets)
-        p_r = np.clip(mr.probs_for(buckets), floor, 1 - floor)
-        p_a = np.clip(ma.probs_for(buckets), floor, 1 - floor)
+    def log_likelihoods(self, log_tables) -> tuple[float, float]:
+        """``(log L(Mr), log L(Ma))`` of the current evidence, from each
+        model's clipped per-bucket ``(log p, log(1 - p))`` tables."""
+        (log_r, log1m_r), (log_a, log1m_a) = log_tables
         compat, incompat = self._counts[0], self._counts[1]
-        ll_r = float(
-            (incompat * np.log(p_r)).sum() + (compat * np.log1p(-p_r)).sum()
-        )
-        ll_a = float(
-            (incompat * np.log(p_a)).sum() + (compat * np.log1p(-p_a)).sum()
-        )
+        ll_r = float((incompat * log_r).sum() + (compat * log1m_r).sum())
+        ll_a = float((incompat * log_a).sum() + (compat * log1m_a).sum())
         return ll_r, ll_a
 
 
@@ -206,6 +198,9 @@ class StreamingLinker:
             raise ValidationError(f"phi_r must be in (0, 1), got {phi_r}")
         self._phi_r = phi_r
         self._config = self._mr.config
+        self._log_tables = (
+            _clipped_log_tables(self._mr), _clipped_log_tables(self._ma)
+        )
         self._pairs: dict[object, StreamingPairEvidence] = {}
         self._query_history: list[Record] = []
 
@@ -280,7 +275,7 @@ class StreamingLinker:
             evidence = self._pairs[candidate_id]
         except KeyError:
             raise ValidationError(f"unknown candidate {candidate_id!r}") from None
-        ll_r, ll_a = evidence.log_likelihoods(self._mr, self._ma)
+        ll_r, ll_a = evidence.log_likelihoods(self._log_tables)
         ratio = _log_posterior_ratio(ll_r, ll_a, self._phi_r)
         return StreamDecision(
             candidate_id=candidate_id,

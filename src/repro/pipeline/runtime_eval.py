@@ -9,6 +9,7 @@ log-likelihood).
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,9 +23,14 @@ from repro.pipeline.experiment import fit_model_pair
 from repro.synth.scenario import ScenarioPair
 
 
+#: Timed runs per method, alternating which goes first; reporting the
+#: medians keeps one slow moment of a shared host from flipping them.
+RUNTIME_REPEATS = 3
+
+
 @dataclass(frozen=True)
 class RuntimeResult:
-    """Mean seconds per query for both methods on one dataset config."""
+    """Median seconds per query for both methods on one dataset config."""
 
     dataset: str
     alpha_filter_s: float
@@ -48,7 +54,11 @@ def run_runtime_eval(
     alpha: tuple[float, float] = (0.05, 0.05),
     phi_r: float = 0.05,
 ) -> RuntimeResult:
-    """Time both methods' ``link_batch`` over the same random query set."""
+    """Time both methods' ``link_batch`` over the same random query set.
+
+    Each method runs ``RUNTIME_REPEATS`` times, alternating which goes
+    first; the result holds the median seconds per query of each.
+    """
     if n_queries < 1:
         raise ValidationError(f"n_queries must be >= 1, got {n_queries}")
     mr, ma = fit_model_pair(pair, config, rng)
@@ -57,19 +67,27 @@ def run_runtime_eval(
     queries = [pair.p_db[qid] for qid in query_ids]
 
     def seconds_per_query(options: LinkOptions) -> float:
-        # A fresh engine per method: neither is served from the other's
+        # A fresh engine per timing: no run is served from another's
         # profile cache or tail memo.
         start = time.perf_counter()
         LinkEngine(mr, ma, options).link_batch(queries, pair.q_db)
         return (time.perf_counter() - start) / n
 
-    alpha_s = seconds_per_query(
-        LinkOptions(method="alpha-filter", alpha1=alpha[0], alpha2=alpha[1])
+    alpha_opts = LinkOptions(
+        method="alpha-filter", alpha1=alpha[0], alpha2=alpha[1]
     )
-    nb_s = seconds_per_query(LinkOptions(method="naive-bayes", phi_r=phi_r))
-
+    nb_opts = LinkOptions(method="naive-bayes", phi_r=phi_r)
+    alpha_runs: list[float] = []
+    nb_runs: list[float] = []
+    for repeat in range(RUNTIME_REPEATS):
+        order = [(alpha_opts, alpha_runs), (nb_opts, nb_runs)]
+        for options, runs in order if repeat % 2 == 0 else reversed(order):
+            runs.append(seconds_per_query(options))
     return RuntimeResult(
-        dataset=dataset, alpha_filter_s=alpha_s, naive_bayes_s=nb_s, n_queries=n
+        dataset=dataset,
+        alpha_filter_s=statistics.median(alpha_runs),
+        naive_bayes_s=statistics.median(nb_runs),
+        n_queries=n,
     )
 
 

@@ -20,7 +20,7 @@ Design rules:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.engine import Candidate, LinkOptions, LinkResult
 from repro.core.trajectory import Trajectory
@@ -264,9 +264,8 @@ def assign_request_from_wire(obj, base_options: LinkOptions) -> AssignWireReques
     permissive score-all semantics
     (:data:`repro.assign.graph.PERMISSIVE_LINK_OPTIONS`) so the solver
     sees every positive-score edge; an explicit ``options`` object is
-    applied on top of the server defaults, exactly like ``/link``
-    (``top_k`` is forced off either way — a truncated ranking would
-    silently drop edges).
+    applied on top of the server defaults, exactly like ``/link``; the
+    daemon scores under :func:`repro.assign.graph.edge_scoring_options`.
     """
     from repro.assign.graph import PERMISSIVE_LINK_OPTIONS
     from repro.assign.solver import BACKENDS
@@ -295,8 +294,6 @@ def assign_request_from_wire(obj, base_options: LinkOptions) -> AssignWireReques
         if body.get("options") is not None
         else PERMISSIVE_LINK_OPTIONS
     )
-    if options.top_k is not None:
-        options = options.with_updates(top_k=None)
     min_score = body.get("min_score", 1e-6)
     if not isinstance(min_score, (int, float)) or min_score < 0:
         raise ProtocolError(
@@ -498,7 +495,9 @@ class ShardInfo:
     own candidates and executed on the coordinator), ``pid`` the
     process that did the work, ``n_candidates`` the size of the pool
     slice the shard scanned, ``n_matched`` how many entries its partial
-    ranking contributed, and ``elapsed_ms`` the shard-local link time.
+    ranking contributed (on ``/v1/assign``: its pairs that can be edges,
+    summed over the queries), and ``elapsed_ms`` the shard-local link
+    time.
     """
 
     shard: int
@@ -508,13 +507,7 @@ class ShardInfo:
     elapsed_ms: float
 
     def to_wire(self) -> dict:
-        return {
-            "shard": self.shard,
-            "pid": self.pid,
-            "n_candidates": self.n_candidates,
-            "n_matched": self.n_matched,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

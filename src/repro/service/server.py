@@ -42,7 +42,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from urllib.parse import parse_qs
 
 from repro import obs
@@ -78,6 +78,8 @@ _REASONS = {
 
 #: Cap on header lines per request (defence against header floods).
 _MAX_HEADERS = 100
+#: How long a drain waits for in-flight requests before cancelling them.
+_DRAIN_TIMEOUT_S = 10.0
 
 #: The routes under ``/v1``; each names its own latency histogram.
 _ROUTES = (
@@ -264,6 +266,8 @@ class LinkServer:
         self._sweeper: asyncio.Task | None = None
         self._shutdown = asyncio.Event()
         self._draining = False
+        # Connection handler -> its writer while keep-alive idle, else None.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter | None] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -293,11 +297,16 @@ class LinkServer:
         )
 
     async def stop(self) -> None:
-        """Graceful drain: stop accepting, flush the queue, release threads."""
+        """Graceful drain: stop accepting, finish open requests, release threads."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        # Wake parked long-polls so their handlers answer now, not
+        # after each watcher's full wait_ms elapses.
+        if self._state.stream is not None:
+            self._state.stream.registry.close()
+        await self._drain_connections()
         await self._batcher.stop()
         if self._sweeper is not None:
             self._sweeper.cancel()
@@ -305,14 +314,23 @@ class LinkServer:
                 await self._sweeper
             self._sweeper = None
         self._executor.shutdown(wait=True)
-        # Wake parked long-polls first so the watch pool drains now,
-        # not after each watcher's full wait_ms elapses.
-        if self._state.stream is not None:
-            self._state.stream.registry.close()
         self._watch_executor.shutdown(wait=True)
         # After the batcher drain nothing is in flight, so worker
         # shutdown loses no queued work.
         self._supervisor.stop()
+
+    async def _drain_connections(self) -> None:
+        """Close idle keep-alive connections and let busy handlers finish
+        their request (``_draining`` closes them after it); cancelling a
+        handler makes asyncio log an error, so only stragglers are."""
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
+        while self._connections and time.monotonic() < deadline:
+            for writer in self._connections.values():
+                if writer is not None:
+                    writer.close()
+            await asyncio.wait(list(self._connections), timeout=0.05)
+        for task in self._connections:
+            task.cancel()
 
     def request_shutdown(self) -> None:
         """Signal-safe trigger for :meth:`serve_until_shutdown`."""
@@ -383,8 +401,10 @@ class LinkServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
             while True:
+                self._connections[task] = writer
                 try:
                     request = await self._read_request(reader)
                 except (ProtocolError, PayloadTooLargeError) as exc:
@@ -413,6 +433,7 @@ class LinkServer:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            self._connections.pop(task, None)
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """One parsed request, or ``None`` when the peer closed cleanly."""
@@ -420,6 +441,8 @@ class LinkServer:
             line = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
             raise ProtocolError("request line too long") from None
+        finally:
+            self._connections[asyncio.current_task()] = None  # busy
         if not line:
             return None
         parts = line.decode("latin-1", "replace").split()
@@ -870,13 +893,15 @@ class LinkServer:
         pool and ``merge_partials`` restores the exact one-shard
         ranking per query (property-tested in ``tests/test_shard.py``),
         so the coordinator's solve sees the same edges — and returns
-        the same matching — whatever the shard count.
+        the same matching — whatever the shard count.  Shards score under
+        :func:`~repro.assign.graph.edge_scoring_options`, so they compute
+        ``p2`` and return entries only for pairs that can become edges.
         """
         from repro.assign import graph_from_link_results, solve
+        from repro.assign.graph import edge_scoring_options
 
-        requests = [
-            LinkRequest(query=q, options=wire.options) for q in wire.queries
-        ]
+        options = edge_scoring_options(wire.options, wire.min_score)
+        requests = [LinkRequest(query=q, options=options) for q in wire.queries]
         # The pool ids and the scatter see one pool state.
         with self._state.engine_lock, obs.span("edge_scoring"):
             pool_ids = [t.traj_id for t in self._state.pool]
@@ -899,28 +924,18 @@ class LinkServer:
         return data, shards
 
     @staticmethod
-    def _aggregate_shards(
-        infos,
-    ) -> tuple[protocol.ShardInfo, ...]:
+    def _aggregate_shards(infos) -> tuple[protocol.ShardInfo, ...]:
         """Per-shard totals across an assign request's scattered batches."""
-        agg: dict[int, dict] = {}
+        agg: dict[int, protocol.ShardInfo] = {}
         for info in infos:
-            cur = agg.setdefault(
-                info.shard,
-                {
-                    "pid": info.pid,
-                    "n_candidates": 0,
-                    "n_matched": 0,
-                    "elapsed_ms": 0.0,
-                },
+            cur = agg.get(info.shard)
+            agg[info.shard] = info if cur is None else replace(
+                cur,
+                n_candidates=cur.n_candidates + info.n_candidates,
+                n_matched=cur.n_matched + info.n_matched,
+                elapsed_ms=max(cur.elapsed_ms, info.elapsed_ms),
             )
-            cur["n_candidates"] += info.n_candidates
-            cur["n_matched"] += info.n_matched
-            cur["elapsed_ms"] = max(cur["elapsed_ms"], info.elapsed_ms)
-        return tuple(
-            protocol.ShardInfo(shard=shard, **agg[shard])
-            for shard in sorted(agg)
-        )
+        return tuple(agg[shard] for shard in sorted(agg))
 
     def _handle_ingest(self, body: bytes) -> dict:
         wire = protocol.ingest_request_from_wire(

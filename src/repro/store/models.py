@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,15 +73,7 @@ class ModelProvenance:
     schema_version: int = ARTIFACT_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_hash": self.dataset_hash,
-            "n_trajectories": self.n_trajectories,
-            "n_rejection_segments": self.n_rejection_segments,
-            "n_acceptance_segments": self.n_acceptance_segments,
-            "n_acceptance_pairs": self.n_acceptance_pairs,
-            "fitted_at": self.fitted_at,
-            "schema_version": self.schema_version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelProvenance":

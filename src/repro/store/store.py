@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -75,17 +75,7 @@ class StoreStats:
     has_index: bool
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "name": self.name,
-            "format_version": self.format_version,
-            "generation": self.generation,
-            "n_segments": self.n_segments,
-            "n_trajectories": self.n_trajectories,
-            "n_records": self.n_records,
-            "n_bytes": self.n_bytes,
-            "has_index": self.has_index,
-        }
+        return asdict(self)
 
 
 class TrajectoryStore:

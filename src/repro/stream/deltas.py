@@ -40,7 +40,6 @@ can only admit extra candidates, never drop one.
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 

@@ -17,10 +17,17 @@ from repro.assign import (
     solve,
     split_components,
 )
+from repro.assign.graph import edge_scoring_options
 from repro.config import FTLConfig
-from repro.core.engine import LinkEngine, LinkOptions
+from repro.core.engine import LinkEngine, LinkOptions, LinkRequest
+from repro.core.models import CompatibilityModel
 from repro.errors import ValidationError
+from repro.geo.units import days_to_seconds
 from repro.store.stindex import SpatioTemporalIndex
+from repro.synth.noise import GaussianNoise
+from repro.synth.observation import ObservationService
+from repro.synth.population import generate_population
+from repro.synth.scenario import make_paired_databases
 
 
 def make_graph(edges, n_q=None, n_c=None):
@@ -288,6 +295,83 @@ class TestGraphConstruction:
     def test_graph_from_results_rejects_mismatch(self):
         with pytest.raises(ValidationError):
             graph_from_link_results([], ["q0"], ["c0"], 0.0, 0)
+
+
+class TestEdgeScoringFloor:
+    """Edge scoring floors alpha1 at ``min_score``; the graph is unchanged."""
+
+    def test_options(self):
+        floored = edge_scoring_options(
+            PERMISSIVE_LINK_OPTIONS.with_updates(top_k=3), 1e-6
+        )
+        assert floored == PERMISSIVE_LINK_OPTIONS.with_updates(alpha1=1e-6)
+        strict = LinkOptions(method="alpha-filter", alpha1=0.05, alpha2=0.05)
+        assert edge_scoring_options(strict, 1e-6) == strict
+        assert edge_scoring_options(strict, 2.0).alpha1 == 1.0
+        nb = LinkOptions(method="naive-bayes", phi_r=0.1, top_k=5)
+        assert edge_scoring_options(nb, 0.5) == nb.with_updates(top_k=None)
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_floored_graph_equals_permissive_scoring(self, city, seed, data):
+        """On a random scenario and model fit, ``build_cost_graph`` (which
+        skips ``p2`` below the floor) equals scoring every pair with
+        ``PERMISSIVE_LINK_OPTIONS``: same edges, bit-equal scores, same
+        ``n_scored_pairs`` and ``density``, at ``min_score`` 0, 1e-12,
+        1e-6 and a value equal to some pair's exact ``p1``."""
+        rng = np.random.default_rng(seed)
+        agents = generate_population(
+            city, 12, days_to_seconds(2), rng, mobility="taxi"
+        )
+        pair = make_paired_databases(
+            agents,
+            ObservationService("P", rate_per_hour=1.0, noise=GaussianNoise(50.0)),
+            ObservationService("Q", rate_per_hour=0.5, noise=GaussianNoise(50.0)),
+            rng,
+        )
+        config = FTLConfig()
+        mr = CompatibilityModel.fit_rejection([pair.p_db, pair.q_db], config)
+        ma = CompatibilityModel.fit_acceptance(
+            [pair.p_db, pair.q_db], config, rng
+        )
+        queries = data.draw(
+            st.lists(
+                st.sampled_from(list(pair.p_db)),
+                min_size=1,
+                max_size=4,
+                unique_by=lambda t: t.traj_id,
+            )
+        )
+        pool = list(pair.q_db)
+        p1 = {
+            float(v) for ev in LinkEngine(mr, ma).evidence(queries, pool)
+            for v in ev.p1
+        }
+        exact = data.draw(
+            st.sampled_from(sorted({v for v in p1 if 0.0 < v < 1.0} or p1))
+        )
+        query_ids = [q.traj_id for q in queries]
+        pool_ids = [c.traj_id for c in pool]
+        for min_score in (0.0, 1e-12, 1e-6, exact):
+            graph = build_cost_graph(
+                LinkEngine(mr, ma, options=PERMISSIVE_LINK_OPTIONS),
+                queries,
+                pool,
+                min_score=min_score,
+            )
+            scored = LinkEngine(mr, ma).link_requests(
+                [LinkRequest(q, options=PERMISSIVE_LINK_OPTIONS) for q in queries],
+                default_pool=pool,
+            )
+            expected = graph_from_link_results(
+                scored, query_ids, pool_ids, min_score,
+                len(queries) * len(pool),
+            )
+            assert graph == expected
+            assert [e[2].hex() for e in graph.edges] == [
+                e[2].hex() for e in expected.edges
+            ]
+            assert graph.density == expected.density
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ unit-tested without sockets (deterministic clocks, no sleeps).
 
 import http.client
 import json
+import logging
 import math
 import threading
 import time
@@ -672,6 +673,24 @@ class TestGracefulDrain:
                 assert result.status == 503
             else:
                 assert result == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clean_stop_logs_no_error(
+        self, engine, pool, queries, workers, caplog
+    ):
+        """A stop with an idle keep-alive connection open closes that
+        connection and lets its handler return: no cancelled handler,
+        so no asyncio ERROR record."""
+        config = ServerConfig(port=0, max_wait_ms=1.0, workers=workers)
+        background = BackgroundServer(engine, pool, config=config).start()
+        client = ServiceClient(*background.address)
+        try:
+            assert client.link(queries[0]) == engine.link(queries[0], pool)
+            background.stop()
+        finally:
+            client.close()
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [], [r.getMessage() for r in errors]
 
     def test_server_address_requires_start(self, engine, pool):
         server = LinkServer(engine, pool)

@@ -425,6 +425,45 @@ class TestShardedServer:
         assert metrics["ftl_worker_restarts_total"] >= 1
 
 
+class TestShardedAssign:
+    def test_assign_equals_library_and_ships_only_edge_capable_pairs(
+        self, engine, pool, queries
+    ):
+        """``/v1/assign`` on a 2-worker daemon equals ``build_cost_graph``
+        plus ``solve`` at ``min_score`` 0, 1e-12, 1e-6 and some pair's
+        exact ``p1``, and the shards' ``n_matched`` counts only pairs
+        with ``p1 >= min_score`` (and ``p2 < alpha2``)."""
+        import json
+
+        from repro.assign import build_cost_graph, solve
+        from repro.service.protocol import trajectory_to_wire
+
+        evidence = engine.evidence(queries, pool)
+        interior = sorted(
+            {float(v) for ev in evidence for v in ev.p1 if 0.0 < v < 1.0}
+        )
+        body = {"queries": [trajectory_to_wire(q) for q in queries]}
+        config = ServerConfig(port=0, max_wait_ms=1.0, workers=2)
+        with BackgroundServer(engine, pool, config=config) as background, \
+                ServiceClient(*background.address) as c:
+            for min_score in (0.0, 1e-12, 1e-6, interior[len(interior) // 2]):
+                graph = build_cost_graph(
+                    engine, queries, pool, min_score=min_score
+                )
+                local = solve(graph, backend="auto")
+                expected = local.to_dict()
+                expected["unassigned"] = local.unassigned(graph.query_ids)
+                expected["density"] = graph.density
+                envelope = c.assign_raw({**body, "min_score": min_score})
+                assert envelope["data"] == json.loads(json.dumps(expected))
+                capable = sum(
+                    int(((ev.p1 >= min_score) & (ev.p2 < 1.0)).sum())
+                    for ev in evidence
+                )
+                assert [s["shard"] for s in envelope["shards"]] == [0, 1]
+                assert sum(s["n_matched"] for s in envelope["shards"]) == capable
+
+
 class _OwnerLock:
     """A re-entrant lock that knows which thread holds it."""
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.config import FTLConfig
 from repro.core.alignment import mutual_segment_profile
-from repro.core.engine import LinkEngine
+from repro.core.engine import LinkEngine, _clipped_log_tables, _log_posterior_ratio
 from repro.core.records import Record
 from repro.core.streaming import (
     SOURCE_P,
@@ -115,7 +115,8 @@ class TestStreamingPairEvidence:
         evidence.extend(p, SOURCE_P)
         evidence.extend(q, SOURCE_Q)
         [batch] = LinkEngine(mr, ma).evidence([p.with_id("p")], [q.with_id("q")])
-        ll_r, ll_a = evidence.log_likelihoods(mr, ma)
+        tables = (_clipped_log_tables(mr), _clipped_log_tables(ma))
+        ll_r, ll_a = evidence.log_likelihoods(tables)
         assert ll_r - ll_a == pytest.approx(batch.llr[0], abs=1e-9)
 
     def test_expire_before_matches_fresh_build(self, config):
@@ -217,6 +218,42 @@ class TestStreamingLinker:
             (math.log(0.1) + ll_r) - (math.log(0.9) + ll_a)
         )
         assert decision.same_person
+
+    def test_decisions_equal_engine_rule_on_the_counts(
+        self, small_pair, fitted_models
+    ):
+        """Each decision is the engine's ``_log_posterior_ratio`` of the
+        log-likelihoods of the pair's tallies, recomputed here from the
+        models' clipped per-bucket probabilities, bit for bit."""
+        mr, ma = fitted_models
+        config = mr.config
+        floor = config.prob_floor
+        buckets = np.arange(config.n_buckets)
+        p_r = np.clip(mr.probs_for(buckets), floor, 1 - floor)
+        p_a = np.clip(ma.probs_for(buckets), floor, 1 - floor)
+        pid = sorted(small_pair.truth)[0]
+        linker = StreamingLinker(mr, ma, phi_r=0.1)
+        cids = list(small_pair.q_db.ids())[:12]
+        for cid in cids:
+            linker.add_candidate(cid)
+            for record in small_pair.q_db[cid]:
+                linker.observe_candidate(cid, record)
+        for record in small_pair.p_db[pid]:
+            linker.observe_query(record)
+        decisions = linker.decisions()
+        assert [d.candidate_id for d in decisions] == cids
+        for decision in decisions:
+            counts = linker._pairs[decision.candidate_id].bucket_counts()
+            compat, incompat = counts[0], counts[1]
+            ll_r = float(
+                (incompat * np.log(p_r)).sum() + (compat * np.log1p(-p_r)).sum()
+            )
+            ll_a = float(
+                (incompat * np.log(p_a)).sum() + (compat * np.log1p(-p_a)).sum()
+            )
+            ratio = _log_posterior_ratio(ll_r, ll_a, 0.1)
+            assert decision.log_posterior_ratio == ratio
+            assert decision.same_person == (ratio >= 0.0)
 
     def test_true_match_emerges(self, setup):
         pair, linker, pid, qid = setup
